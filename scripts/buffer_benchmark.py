@@ -12,6 +12,7 @@ import json
 import statistics
 import sys
 
+from segshield import shaper
 from segshield.profiles import segmentation_profile
 from segshield.shaper import SocketTuning, mean_wall_time, run_transfer_benchmark
 
@@ -24,7 +25,7 @@ def parse_args(argv=None):
         "--buffers",
         type=int,
         nargs="+",
-        default=[2**15, 2**16],
+        default=[shaper.DEFAULT_SEND_BUFFER // 2, shaper.DEFAULT_SEND_BUFFER],
         help="sender SO_SNDBUF values to sweep",
     )
     parser.add_argument(
@@ -42,7 +43,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    sender_rcvbuf = max(2 * max(args.buffers), 2**17)
+    sender_rcvbuf = max(2 * max(args.buffers), shaper.DEFAULT_RECV_BUFFER)
     results = []
     print(f"{'profile':>10}  {'sndbuf':>8}  {'mean':>9}  {'stdev':>8}  {'min':>9}  {'max':>9}")
     for name in args.profiles:

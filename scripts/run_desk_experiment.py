@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
 """Desk-scale defense evaluation over synthetic device traces.
 
-For each seed: synthesize one trace per device, score the fingerprinting
-attack on the raw traces, apply random segmentation, score it again, and
-report accuracies plus byte overhead. Prints a per-seed table; optionally
-dumps the numbers as JSON.
+For each seed, run the library's three-arm experiment (no output
+directory) and report the attack's accuracy on the raw and the segmented
+traces, plus the segmentation byte overhead. Prints a per-seed table;
+optionally dumps the numbers as JSON.
 """
 
 import argparse
 import json
 import sys
 
-from segshield.attackeval import run_attack
-from segshield.profiles import device_profile, segmentation_profile
-from segshield.report import byte_overhead
-from segshield.rng import derive_seed
-from segshield.tracesim import obfuscate_trace, synthesize_trace
+from segshield.profiles import DEFAULT_SEGMENTATION_PROFILE
+from segshield.report import run_experiment
+
+# Flags whose destination is an experiment config key of the same name; left
+# unset, they stay out of the config and the experiment defaults apply.
+CONFIG_KEYS = ("duration_s", "time_overhead", "window_s", "vector_len", "n_trees")
 
 
 def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
     parser.add_argument(
         "--devices",
         nargs=2,
@@ -27,54 +28,43 @@ def parse_args(argv=None):
         metavar=("A", "B"),
         help="device profile presets to confuse (default: bulb-like plug-like)",
     )
-    parser.add_argument("--profile", default="low-bandwidth", help="segmentation preset")
+    parser.add_argument(
+        "--profile", default=DEFAULT_SEGMENTATION_PROFILE, help="segmentation preset"
+    )
     parser.add_argument("--prob", type=float, default=None, help="override segmentation probability")
-    parser.add_argument("--duration", type=float, default=3600.0, help="trace length in seconds")
-    parser.add_argument("--time-overhead", type=float, default=0.2, help="timestamp dilation factor")
+    parser.add_argument("--duration", dest="duration_s", type=float, help="trace length in seconds")
+    parser.add_argument("--time-overhead", type=float, help="timestamp dilation factor")
     parser.add_argument("--seeds", type=int, default=10, help="number of seeds to sweep")
-    parser.add_argument("--window", type=float, default=30.0, help="feature window in seconds")
-    parser.add_argument("--veclen", type=int, default=200, help="feature vector length")
-    parser.add_argument("--trees", type=int, default=100, help="forest size")
+    parser.add_argument("--window", dest="window_s", type=float, help="feature window in seconds")
+    parser.add_argument("--veclen", dest="vector_len", type=int, help="feature vector length")
+    parser.add_argument("--trees", dest="n_trees", type=int, help="forest size")
     parser.add_argument("--json", default=None, help="write results to this JSON file")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    config = segmentation_profile(args.profile, prob=args.prob)
-    profiles = [device_profile(name) for name in args.devices]
-
+    shared = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
+    segmentation = {"profile": args.profile, "prob": args.prob}
     rows = []
     print(f"{'seed':>4}  {'undefended':>10}  {'defended':>8}  {'gap':>6}  {'overhead':>8}")
     for seed in range(args.seeds):
-        raw = [
-            synthesize_trace(prof, args.duration, derive_seed(seed, "trace", prof.name))
-            for prof in profiles
-        ]
-        defended = [
-            obfuscate_trace(tr, config, args.time_overhead, derive_seed(seed, "defend", tr.device))
-            for tr in raw
-        ]
-        before = run_attack(
-            raw, window_s=args.window, vector_len=args.veclen, n_trees=args.trees, seed=seed
-        ).accuracy
-        after = run_attack(
-            defended, window_s=args.window, vector_len=args.veclen, n_trees=args.trees, seed=seed
-        ).accuracy
-        cost = byte_overhead(
-            sum(tr.total_bytes for tr in raw), sum(tr.total_bytes for tr in defended)
-        )
+        config = {**shared, "seed": seed, "devices": args.devices, "segmentation": segmentation}
+        report = run_experiment(config)
+        before = report.metrics["undefended"].accuracy
+        after = report.metrics["segmented"].accuracy
+        cost = float(report.overheads["segmented"]["total"].b)
         rows.append(
             {
                 "seed": seed,
                 "undefended_accuracy": before,
                 "defended_accuracy": after,
-                "byte_overhead": float(cost),
+                "byte_overhead": cost,
             }
         )
         print(
             f"{seed:>4}  {before:>10.3f}  {after:>8.3f}  {before - after:>+6.3f}"
-            f"  {float(cost) * 100:>7.1f}%"
+            f"  {cost * 100:>7.1f}%"
         )
 
     mean_before = sum(r["undefended_accuracy"] for r in rows) / len(rows)
@@ -85,7 +75,7 @@ def main(argv=None) -> int:
         payload = {
             "devices": args.devices,
             "profile": args.profile,
-            "duration_s": args.duration,
+            "duration_s": report.config["duration_s"],
             "rows": rows,
         }
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import isqrt
 from typing import Sequence
 
@@ -24,6 +24,8 @@ from .tracesim import Trace
 
 DEFAULT_VECTOR_LEN = 200
 DEFAULT_WINDOW_S = 30.0
+DEFAULT_TRAIN_FRACTION = 0.7
+DEFAULT_N_TREES = 100
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def extract_windows(
 
 def split_dataset(
     vectors: Sequence[FeatureVector],
-    train_fraction: float = 0.7,
+    train_fraction: float = DEFAULT_TRAIN_FRACTION,
     rng: random.Random | int = 0,
 ) -> tuple[list[FeatureVector], list[FeatureVector]]:
     """Stratified shuffle split; every class lands in both partitions."""
@@ -226,7 +228,7 @@ def _as_matrix(vectors: Sequence[FeatureVector], n_features: int) -> np.ndarray:
 
 def train_forest(
     train: Sequence[FeatureVector],
-    n_trees: int = 100,
+    n_trees: int = DEFAULT_N_TREES,
     max_depth: int | None = None,
     rng: random.Random | int = 0,
     bootstrap: bool = True,
@@ -298,12 +300,9 @@ class Metrics:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "labels": list(self.labels),
             "confusion": [list(row) for row in self.confusion],
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
             "per_class": {
                 lab: {"precision": p, "recall": r, "f1": f}
                 for lab, (p, r, f) in zip(self.labels, self.per_class)
@@ -372,8 +371,8 @@ def run_attack(
     traces: Sequence[Trace],
     window_s: float = DEFAULT_WINDOW_S,
     vector_len: int = DEFAULT_VECTOR_LEN,
-    train_fraction: float = 0.7,
-    n_trees: int = 100,
+    train_fraction: float = DEFAULT_TRAIN_FRACTION,
+    n_trees: int = DEFAULT_N_TREES,
     max_depth: int | None = None,
     seed: int = 0,
 ) -> Metrics:

@@ -3,33 +3,20 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from . import attackeval, profiles, shaper, tracesim
 from .attackeval import run_attack
 from .errors import SegShieldError
-from .profiles import (
-    device_profile,
-    device_profile_names,
-    segmentation_profile,
-    segmentation_profile_names,
-)
+from .profiles import resolve_device, resolve_segmentation
 from .report import run_experiment
-from .rng import derive_seed
-from .segcore import load_config
-from .shaper import (
-    SocketTuning,
-    mean_wall_time,
-    open_shaped_connection,
-    run_receiver,
-)
+from .shaper import SocketTuning, mean_wall_time, run_receiver, send_seeded_payload
 from .tracesim import (
     ingest_trace,
     inject_cover_traffic,
-    load_profile,
     obfuscate_trace,
     pad_trace,
     synthesize_trace,
@@ -37,22 +24,19 @@ from .tracesim import (
 )
 
 
-def _segmentation(name: str, prob: float | None, seed: int):
-    """Accept either a preset name or a path to a JSON config."""
-    if name in segmentation_profile_names():
-        return segmentation_profile(name, prob=prob, seed=seed)
-    config = load_config(name)
-    if prob is not None:
-        from dataclasses import replace
-
-        config = replace(config, prob=prob)
-    return config
+def _preset_or_json(arg: str, preset_names) -> str | dict:
+    """A preset name passes through; any other argument is a JSON file path."""
+    if arg in preset_names:
+        return arg
+    with open(arg) as fh:
+        return json.load(fh)
 
 
-def _device(name: str):
-    if name in device_profile_names():
-        return device_profile(name)
-    return load_profile(name)
+def _segmentation_flags(args):
+    """The config that --profile (a preset name or JSON path) and --prob name."""
+    spec = _preset_or_json(args.profile, profiles.segmentation_profile_names())
+    config = resolve_segmentation(spec, args.seed, "--profile")
+    return config if args.prob is None else replace(config, prob=args.prob)
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
@@ -103,76 +87,50 @@ def main_shaper(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="shaper", description="Shaped TCP transfers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    send = sub.add_parser("send", help="send a pseudo-random payload")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--recv-buf", type=int, default=shaper.DEFAULT_RECV_BUFFER)
+    common.add_argument("--reps", type=int, default=1)
+    common.add_argument("--out", default=None, help="stats JSON path (default stdout)")
+
+    send = sub.add_parser("send", parents=[common], help="send a pseudo-random payload")
     send.add_argument("--addr", required=True, help="receiver address host:port")
     send.add_argument("--size", type=int, required=True, help="payload bytes per run")
     send.add_argument("--profile", default="rand-low", help="segmentation profile or 'none'")
     send.add_argument("--prob", type=float, default=None, help="override probability")
-    send.add_argument("--send-buf", type=int, default=2**16)
-    send.add_argument("--recv-buf", type=int, default=2**17)
-    send.add_argument("--reps", type=int, default=1)
+    send.add_argument("--send-buf", type=int, default=shaper.DEFAULT_SEND_BUFFER)
     send.add_argument("--seed", type=int, default=0)
-    send.add_argument("--out", default=None, help="stats JSON path (default stdout)")
 
-    recv = sub.add_parser("recv", help="receive and digest one or more transfers")
+    recv = sub.add_parser("recv", parents=[common], help="receive and digest one or more transfers")
     recv.add_argument("--port", type=int, required=True)
     recv.add_argument("--host", default="0.0.0.0")
-    recv.add_argument("--reps", type=int, default=1)
     recv.add_argument("--timeout", type=float, default=60.0)
-    recv.add_argument("--recv-buf", type=int, default=2**17)
-    recv.add_argument("--out", default=None, help="stats JSON path (default stdout)")
 
     args = parser.parse_args(argv)
 
     def go():
         if args.command == "send":
-            config = (
-                None
-                if args.profile == "none"
-                else _segmentation(args.profile, args.prob, args.seed)
-            )
+            config = None if args.profile == "none" else _segmentation_flags(args)
             tuning = SocketTuning(
-                no_delay=True,
-                send_buffer_bytes=args.send_buf,
-                receive_buffer_bytes=args.recv_buf,
+                no_delay=True, send_buffer_bytes=args.send_buf, receive_buffer_bytes=args.recv_buf
             )
-            runs = []
-            for rep in range(args.reps):
-                payload = random.Random(derive_seed(args.seed, "payload", rep)).randbytes(
-                    args.size
-                )
-                conn = open_shaped_connection(
-                    args.addr, config, tuning, rng=derive_seed(args.seed, "plan", rep)
-                )
-                with conn:
-                    conn.send(payload)
-                    stats = conn.finish()
-                runs.append(
-                    {
-                        **stats.to_dict(),
-                        "checksum": hashlib.sha256(payload).hexdigest(),
-                    }
-                )
+            runs = [
+                send_seeded_payload(args.addr, args.size, config, tuning, args.seed, rep)
+                for rep in range(args.reps)
+            ]
             _dump_json(
-                {"runs": runs, "mean_wall_time": mean_wall_time_dicts(runs)}, args.out
+                {"runs": [r.to_dict() for r in runs], "mean_wall_time": mean_wall_time(runs)},
+                args.out,
             )
         else:
-            runs = []
-            for _ in range(args.reps):
-                stats = run_receiver(
-                    args.port,
-                    host=args.host,
-                    timeout=args.timeout,
-                    recv_buffer=args.recv_buf,
-                )
-                runs.append(stats.to_dict())
+            runs = [
+                run_receiver(
+                    args.port, host=args.host, timeout=args.timeout, recv_buffer=args.recv_buf
+                ).to_dict()
+                for _ in range(args.reps)
+            ]
             _dump_json({"runs": runs}, args.out)
 
     return _run(go)
-
-
-def mean_wall_time_dicts(runs) -> float:
-    return sum(r["wall_time"] for r in runs) / len(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -183,43 +141,38 @@ def main_tracesim(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tracesim", description="Offline trace defenses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ob = sub.add_parser("obfuscate", help="random segmentation over a trace")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--header-bytes", type=int, default=tracesim.DEFAULT_HEADER_BYTES)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", required=True)
+
+    ob = sub.add_parser("obfuscate", parents=[common], help="random segmentation over a trace")
     ob.add_argument("--in", dest="infile", required=True)
-    ob.add_argument("--profile", default="low-bandwidth")
+    ob.add_argument("--profile", default=profiles.DEFAULT_SEGMENTATION_PROFILE)
     ob.add_argument("--prob", type=float, default=None)
-    ob.add_argument("--time-overhead", type=float, default=0.2)
-    ob.add_argument("--header-bytes", type=int, default=82)
-    ob.add_argument("--seed", type=int, default=0)
-    ob.add_argument("--out", required=True)
+    ob.add_argument("--time-overhead", type=float, default=tracesim.DEFAULT_TIME_OVERHEAD)
 
-    pad = sub.add_parser("pad", help="random-padding baseline over a trace")
+    pad = sub.add_parser("pad", parents=[common], help="random-padding baseline over a trace")
     pad.add_argument("--in", dest="infile", required=True)
-    pad.add_argument("--mtu-frame", type=int, default=1582)
-    pad.add_argument("--header-bytes", type=int, default=82)
-    pad.add_argument("--seed", type=int, default=0)
-    pad.add_argument("--out", required=True)
+    pad.add_argument("--mtu-frame", type=int, default=tracesim.DEFAULT_MTU_FRAME)
 
-    cover = sub.add_parser("cover", help="rate-matching cover injection")
+    cover = sub.add_parser("cover", parents=[common], help="rate-matching cover injection")
     cover.add_argument("--target", required=True)
     cover.add_argument("--reference", required=True)
-    cover.add_argument("--window", type=float, default=30.0)
-    cover.add_argument("--header-bytes", type=int, default=82)
-    cover.add_argument("--seed", type=int, default=0)
-    cover.add_argument("--out", required=True)
+    cover.add_argument("--window", type=float, default=attackeval.DEFAULT_WINDOW_S)
 
-    synth = sub.add_parser("synth", help="synthesize a trace from a device profile")
+    synth = sub.add_parser(
+        "synth", parents=[common], help="synthesize a trace from a device profile"
+    )
     synth.add_argument("--profile", required=True, help="preset name or profile JSON path")
-    synth.add_argument("--duration", type=float, default=3600.0)
-    synth.add_argument("--header-bytes", type=int, default=82)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--out", required=True)
+    synth.add_argument("--duration", type=float, default=tracesim.DEFAULT_DURATION_S)
 
     args = parser.parse_args(argv)
 
     def go():
         if args.command == "obfuscate":
             trace = ingest_trace(args.infile, header_bytes=args.header_bytes)
-            config = _segmentation(args.profile, args.prob, args.seed)
+            config = _segmentation_flags(args)
             out = obfuscate_trace(trace, config, args.time_overhead, args.seed)
             write_trace(out, args.out)
             print(f"{len(trace)} -> {len(out)} records")
@@ -238,7 +191,9 @@ def main_tracesim(argv=None) -> int:
                 f"({result.cover_fraction * 100:.1f}% of original)"
             )
         else:
-            profile = _device(args.profile)
+            profile = resolve_device(
+                _preset_or_json(args.profile, profiles.device_profile_names()), "--profile"
+            )
             trace = synthesize_trace(
                 profile, args.duration, args.seed, header_bytes=args.header_bytes
             )
@@ -259,12 +214,12 @@ def main_attackeval(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="train and evaluate the forest on traces")
     run.add_argument("--traces", nargs="+", required=True, help="one trace file per device")
-    run.add_argument("--window", type=float, default=30.0)
-    run.add_argument("--veclen", type=int, default=200)
-    run.add_argument("--train-fraction", type=float, default=0.7)
-    run.add_argument("--trees", type=int, default=100)
+    run.add_argument("--window", type=float, default=attackeval.DEFAULT_WINDOW_S)
+    run.add_argument("--veclen", type=int, default=attackeval.DEFAULT_VECTOR_LEN)
+    run.add_argument("--train-fraction", type=float, default=attackeval.DEFAULT_TRAIN_FRACTION)
+    run.add_argument("--trees", type=int, default=attackeval.DEFAULT_N_TREES)
     run.add_argument("--max-depth", type=int, default=None)
-    run.add_argument("--header-bytes", type=int, default=82)
+    run.add_argument("--header-bytes", type=int, default=tracesim.DEFAULT_HEADER_BYTES)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", default=None, help="metrics JSON path (default stdout)")
     args = parser.parse_args(argv)

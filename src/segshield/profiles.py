@@ -10,12 +10,22 @@ Device profiles are synthetic stand-ins for small-appliance traffic.
 bulb-like and plug-like form a confusion pair: same frame sizes with
 mirrored weights and different rates, so an undefended classifier
 separates them but segmentation leaves little to key on.
+
+``resolve_segmentation`` and ``resolve_device`` turn a config entry into
+the typed value; their errors name the key path of the offending value.
 """
 
 from __future__ import annotations
 
-from .segcore import LevelBand, SegmentationConfig
+import math
+import types
+from typing import get_args
+
+from .errors import ConfigurationError
+from .segcore import DEFAULT_MSS, DEFAULT_MTU, LevelBand, SegmentationConfig
 from .tracesim import DeviceProfile
+
+DEFAULT_SEGMENTATION_PROFILE = "low-bandwidth"
 
 _SEGMENTATION_PRESETS: dict[str, dict] = {
     "low-bandwidth": {
@@ -43,8 +53,8 @@ def segmentation_profile(
     name: str,
     prob: float | None = None,
     seed: int = 0,
-    mss: int = 1460,
-    mtu: int = 1500,
+    mss: int = DEFAULT_MSS,
+    mtu: int = DEFAULT_MTU,
 ) -> SegmentationConfig:
     """Build a SegmentationConfig from a named preset, with overrides."""
     try:
@@ -122,3 +132,104 @@ def device_profile(name: str, mean_rate: float | None = None) -> DeviceProfile:
 
 def device_profile_names() -> tuple[str, ...]:
     return tuple(sorted(_DEVICE_PRESETS))
+
+
+# ---------------------------------------------------------------------------
+# config entries
+
+POSITIVE = (lambda v: v > 0, "positive")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+
+
+def check_value(value, path: str, kind, rule=None):
+    """Return ``value`` if it has type ``kind`` (a JSON type, ``kind | None``
+    to also allow null, or a tuple of kinds for a fixed-length row) and
+    passes ``rule``, a (predicate, description) pair. Numbers come back as
+    float; a list may be a tuple. Raise ConfigurationError naming ``path``
+    otherwise."""
+    if isinstance(kind, types.UnionType):
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if isinstance(kind, tuple):  # a fixed-length row
+        check_value(value, path, list, (lambda v: len(v) == len(kind), f"{len(kind)} long"))
+        return tuple(check_value(v, f"{path}[{j}]", k) for j, (v, k) in enumerate(zip(value, kind)))
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and math.isfinite(value)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (list, tuple) if kind is list else kind)
+    if not ok:
+        raise ConfigurationError(f"{path}: expected {kind.__name__}, got {value!r}")
+    if rule is not None and not rule[0](value):
+        raise ConfigurationError(f"{path}: must be {rule[1]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def check_object(obj, path: str, schema: dict, required=()) -> dict:
+    """Check an object against ``schema`` ({key: kind or (kind, rule)}) and
+    return its checked values; an empty ``path`` is the config root."""
+    check_value(obj, path or "config", dict)
+    prefix = f"{path}." if path else ""
+    for key in required:
+        if key not in obj:
+            raise ConfigurationError(f"{prefix}{key}: required")
+    values = {}
+    for key, value in obj.items():
+        if key not in schema:
+            known = ", ".join(sorted(schema))
+            raise ConfigurationError(f"{prefix}{key}: unknown key (known: {known})")
+        kind, rule = schema[key] if isinstance(schema[key], tuple) else (schema[key], None)
+        values[key] = check_value(value, prefix + key, kind, rule)
+    return values
+
+
+def _build(path: str, make, *args, **kwargs):
+    """Call a constructor; its own range errors gain the key path."""
+    try:
+        return make(*args, **kwargs)
+    except (ConfigurationError, KeyError) as exc:
+        raise ConfigurationError(f"{path}: {exc.args[0]}") from None
+
+
+_SEGMENTATION_PRESET_KEYS = {"profile": str, "prob": float | None}
+_SEGMENTATION_KEYS = {"prob": float, "bands": list, "mss": int, "mtu": int, "seed": int}
+_BAND_KEYS = {"min_seg": int, "max_seg": int, "upper_threshold": int | None}
+_DEVICE_PRESET_KEYS = {"profile": str, "mean_rate": float | None}
+# Full device objects: the list keys hold rows of these kinds.
+_DEVICE_ROWS = {"incoming": (int, float), "outgoing": (int, float), "mode_schedule": (float,) * 3}
+_DEVICE_KEYS = {"name": str, "mean_rate": float, **dict.fromkeys(_DEVICE_ROWS, list)}
+
+
+def resolve_segmentation(spec, seed: int = 0, path: str = "segmentation") -> SegmentationConfig:
+    """A preset name, a ``{"profile", "prob"}`` override, or a full config
+    object with explicit ``bands`` (whose own ``seed`` wins over ``seed``)."""
+    if isinstance(spec, str):
+        spec = {"profile": spec}
+    if isinstance(spec, dict) and "profile" in spec:
+        values = check_object(spec, path, _SEGMENTATION_PRESET_KEYS)
+        return _build(path, segmentation_profile, values.pop("profile"), seed=seed, **values)
+    values = check_object(spec, path, _SEGMENTATION_KEYS, required=("prob", "bands"))
+    bands = []
+    for i, band in enumerate(values["bands"]):
+        where = f"{path}.bands[{i}]"
+        checked = check_object(band, where, _BAND_KEYS, required=("min_seg", "max_seg"))
+        bands.append(_build(where, LevelBand, **checked))
+    return _build(path, SegmentationConfig, **{"seed": seed, **values, "bands": bands})
+
+
+def resolve_device(spec, path: str = "device") -> DeviceProfile:
+    """A preset name, a ``{"profile", "mean_rate"}`` override, or a full
+    profile object."""
+    if isinstance(spec, str):
+        spec = {"profile": spec}
+    if isinstance(spec, dict) and "profile" in spec:
+        values = check_object(spec, path, _DEVICE_PRESET_KEYS)
+        return _build(path, device_profile, values.pop("profile"), **values)
+    values = check_object(spec, path, _DEVICE_KEYS, required=("name", "mean_rate"))
+    for key, kinds in _DEVICE_ROWS.items():
+        rows = enumerate(values.get(key, ()))
+        values[key] = tuple(check_value(row, f"{path}.{key}[{i}]", kinds) for i, row in rows)
+    return _build(path, DeviceProfile, **values)

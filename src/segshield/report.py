@@ -12,19 +12,17 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
-from . import __version__
+from . import __version__, attackeval, profiles, tracesim
 from .attackeval import Metrics, evaluate, extract_windows, split_dataset, train_forest
 from .errors import ConfigurationError, SegShieldError
-from .profiles import device_profile, segmentation_profile
+from .profiles import NON_NEGATIVE, POSITIVE, check_object, resolve_device, resolve_segmentation
 from .rng import derive_seed
 from .segcore import SegmentationConfig
 from .tracesim import (
-    DEFAULT_HEADER_BYTES,
     DeviceProfile,
     Trace,
     ingest_trace,
@@ -81,13 +79,9 @@ class OverheadResult:
 
     def to_dict(self) -> dict:
         return {
-            "w_b": self.w_b,
-            "d_b": self.d_b,
-            "cover_bytes": self.cover_bytes,
+            **asdict(self),
             "b_exact": str(self.b),
             "b_percent": round(float(self.b) * 100, 6),
-            "w_t_us": self.w_t_us,
-            "d_t_us": self.d_t_us,
             "t_exact": str(self.t),
             "t_percent": round(float(self.t) * 100, 6),
         }
@@ -113,57 +107,79 @@ class Report:
         }
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "duration_s": 3600.0,
-    "window_s": 30.0,
-    "vector_len": 200,
-    "train_fraction": 0.7,
-    "n_trees": 100,
-    "max_depth": None,
-    "time_overhead": 0.2,
-    "header_bytes": DEFAULT_HEADER_BYTES,
-    "mtu_frame": 1500 + DEFAULT_HEADER_BYTES,
-    "segmentation": {"profile": "low-bandwidth"},
-    "cover": {"enabled": False},
-}
+_DEVICES = (list, (lambda v: len(v) >= 2, "two or more entries"))
+_TRACES = (
+    list,
+    (lambda v: len(v) >= 2 and all(isinstance(p, str) for p in v), "two or more path strings"),
+)
+_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+_COVER_KEYS = {"enabled": bool, "reference": str | None, "window_s": (float, POSITIVE)}
 
 
-def _normalize_config(raw: dict) -> dict:
-    cfg = dict(_DEFAULTS)
-    cfg["cover"] = dict(_DEFAULTS["cover"])
-    for key, value in raw.items():
-        if key == "cover":
-            cfg["cover"].update(value)
-        elif key in cfg or key in ("devices", "traces"):
-            cfg[key] = value
+def _key(default, kind, rule):
+    """A field read from the top-level config key of the same name."""
+    return field(default=default, metadata={"check": (kind, rule)})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """An experiment config, parsed and checked: values typed, presets resolved.
+    Exactly one of ``devices`` and ``traces`` is non-empty. ``source`` is the
+    input merged over the defaults, echoed verbatim in report.json."""
+
+    source: dict
+    segmentation: SegmentationConfig
+    cover_window_s: float
+    cover_reference: str | None = None
+    devices: tuple[DeviceProfile, ...] = ()
+    traces: tuple[str, ...] = ()
+    seed: int = _key(0, int, NON_NEGATIVE)
+    duration_s: float = _key(tracesim.DEFAULT_DURATION_S, float, POSITIVE)
+    window_s: float = _key(attackeval.DEFAULT_WINDOW_S, float, POSITIVE)
+    vector_len: int = _key(attackeval.DEFAULT_VECTOR_LEN, int, POSITIVE)
+    train_fraction: float = _key(attackeval.DEFAULT_TRAIN_FRACTION, float, _UNIT)
+    n_trees: int = _key(attackeval.DEFAULT_N_TREES, int, POSITIVE)
+    max_depth: int | None = _key(None, int | None, POSITIVE)
+    time_overhead: float = _key(tracesim.DEFAULT_TIME_OVERHEAD, float, NON_NEGATIVE)
+    header_bytes: int = _key(tracesim.DEFAULT_HEADER_BYTES, int, NON_NEGATIVE)
+    mtu_frame: int = _key(tracesim.DEFAULT_MTU_FRAME, int, POSITIVE)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Raise ConfigurationError, naming the key path, on an unknown key,
+        a wrong type or an out-of-range value at any level."""
+        scalars = [f for f in fields(cls) if f.metadata]
+        schema = {f.name: f.metadata["check"] for f in scalars}
+        schema.update(devices=_DEVICES, traces=_TRACES, segmentation=object, cover=dict)
+        values = check_object(raw, "", schema)
+        if ("devices" in values) == ("traces" in values):
+            raise ConfigurationError("config needs exactly one of 'devices' or 'traces'")
+        cover = check_object(values.pop("cover", {}), "cover", _COVER_KEYS)
+        if cover.get("enabled") and cover.get("reference") is None:
+            raise ConfigurationError("cover.reference: required when cover.enabled is true")
+        source = {
+            **{f.name: f.default for f in scalars},
+            "segmentation": {"profile": profiles.DEFAULT_SEGMENTATION_PROFILE},
+            **raw,
+            "cover": {"enabled": False, **raw.get("cover", {})},
+        }
+        if "devices" in values:
+            devices = [resolve_device(e, f"devices[{i}]") for i, e in enumerate(values["devices"])]
+            names = [p.name for p in devices]
+            if len(set(names)) < len(names):
+                raise ConfigurationError(f"devices: device names repeat in {names}")
+            values["devices"] = tuple(devices)
         else:
-            raise ConfigurationError(f"unknown experiment config key {key!r}")
-    if ("devices" in cfg) == ("traces" in cfg):
-        raise ConfigurationError("config needs exactly one of 'devices' or 'traces'")
-    return cfg
-
-
-def _segmentation_config(entry, seed: int) -> SegmentationConfig:
-    if isinstance(entry, str):
-        return segmentation_profile(entry, seed=seed)
-    if isinstance(entry, dict) and "profile" in entry:
-        return segmentation_profile(
-            entry["profile"], prob=entry.get("prob"), seed=seed
+            values["traces"] = tuple(values["traces"])
+        values["segmentation"] = resolve_segmentation(
+            source["segmentation"], seed=values.get("seed", cls.seed)
         )
-    return SegmentationConfig.from_dict({**entry, "seed": seed})
-
-
-def _device_profiles(entries: Sequence) -> list[DeviceProfile]:
-    profiles = []
-    for entry in entries:
-        if isinstance(entry, str):
-            profiles.append(device_profile(entry))
-        elif isinstance(entry, dict) and set(entry) <= {"profile", "mean_rate"}:
-            profiles.append(device_profile(entry["profile"], entry.get("mean_rate")))
-        else:
-            profiles.append(DeviceProfile.from_dict(entry))
-    return profiles
+        return cls(
+            source=source,
+            cover_reference=cover.get("reference") if cover.get("enabled") else None,
+            cover_window_s=cover.get("window_s", values.get("window_s", cls.window_s)),
+            **values,
+        )
 
 
 class StageError(SegShieldError):
@@ -176,132 +192,107 @@ class StageError(SegShieldError):
 
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None) -> Report:
     """Run the full comparison and, when out_dir is given, write report.json,
-    flat CSVs, and every intermediate trace for audit."""
+    flat CSVs, and every intermediate trace for audit. The config is checked
+    before anything runs, and the inputs before any trace is written."""
     if not isinstance(config, dict):
         with open(config) as fh:
             config = json.load(fh)
-    cfg = _normalize_config(config)
-    master = int(cfg["seed"])
+    cfg = ExperimentConfig.from_dict(config)
+    master = cfg.seed
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         (out / "traces").mkdir(parents=True, exist_ok=True)
 
-    def save(trace: Trace, device: str, arm: str) -> None:
-        if out is not None:
-            write_trace(trace, out / "traces" / f"{device}.{arm}.jsonl")
+    def save(traces: dict[str, Trace], arm: str) -> None:
+        for device, trace in traces.items():
+            if out is not None:
+                write_trace(trace, out / "traces" / f"{device}.{arm}.jsonl")
 
     stage = "inputs"
     try:
-        if "devices" in cfg:
-            profiles = _device_profiles(cfg["devices"])
-            base = {
-                p.name: synthesize_trace(
-                    p,
-                    float(cfg["duration_s"]),
-                    derive_seed(master, "synth", p.name),
-                    header_bytes=int(cfg["header_bytes"]),
-                )
-                for p in profiles
-            }
-        else:
-            base = {}
-            for path in cfg["traces"]:
-                trace = ingest_trace(path, header_bytes=int(cfg["header_bytes"]))
-                base[trace.device] = trace
-        if len(base) < 2:
-            raise ConfigurationError("experiment needs at least two devices")
-        for device, trace in base.items():
-            save(trace, device, "undefended")
+        base: dict[str, Trace] = {}
+        for profile in cfg.devices:
+            base[profile.name] = synthesize_trace(
+                profile,
+                cfg.duration_s,
+                derive_seed(master, "synth", profile.name),
+                header_bytes=cfg.header_bytes,
+            )
+        for path in cfg.traces:
+            trace = ingest_trace(path, header_bytes=cfg.header_bytes)
+            if trace.device in base:
+                first = cfg.traces[list(base).index(trace.device)]
+                raise ConfigurationError(f"traces: {first} and {path} both hold {trace.device!r}")
+            base[trace.device] = trace
+        reference = cfg.cover_reference
+        if reference is not None and reference not in base:
+            raise ConfigurationError(f"cover.reference: {reference!r} is not a device")
+        save(base, "undefended")
 
         stage = "padding"
-        seg_config = _segmentation_config(cfg["segmentation"], master)
         padded = {
-            device: pad_trace(trace, int(cfg["mtu_frame"]), derive_seed(master, "pad", device))
+            device: pad_trace(trace, cfg.mtu_frame, derive_seed(master, "pad", device))
             for device, trace in base.items()
         }
-        for device, trace in padded.items():
-            save(trace, device, "padded")
+        save(padded, "padded")
 
         stage = "segmentation"
         segmented = {
             device: obfuscate_trace(
-                trace,
-                seg_config,
-                float(cfg["time_overhead"]),
-                derive_seed(master, "seg", device),
+                trace, cfg.segmentation, cfg.time_overhead, derive_seed(master, "seg", device)
             )
             for device, trace in base.items()
         }
         cover_bytes = {device: 0 for device in base}
-        cover_cfg = cfg["cover"]
-        if cover_cfg.get("enabled"):
+        if reference is not None:
             stage = "cover"
-            reference = cover_cfg.get("reference")
-            if reference not in segmented:
-                raise ConfigurationError(f"cover reference {reference!r} is not a device")
-            window = float(cover_cfg.get("window_s", cfg["window_s"]))
-            for device in sorted(segmented):
-                if device == reference:
-                    continue
+            for device in sorted(set(segmented) - {reference}):
                 result = inject_cover_traffic(
                     segmented[device],
                     segmented[reference],
-                    window,
+                    cfg.cover_window_s,
                     derive_seed(master, "cover", device),
                 )
                 segmented[device] = result.trace
                 cover_bytes[device] = result.cover_bytes
-        for device, trace in segmented.items():
-            save(trace, device, "segmented")
+        save(segmented, "segmented")
 
         stage = "attack"
         arms = {"undefended": base, "padded": padded, "segmented": segmented}
         metrics: dict[str, Metrics] = {}
         for arm, traces in arms.items():
-            vectors = []
-            for device in sorted(traces):
-                vectors.extend(
-                    extract_windows(
-                        traces[device], float(cfg["window_s"]), int(cfg["vector_len"])
-                    )
-                )
+            vectors = [
+                vector
+                for device in sorted(traces)
+                for vector in extract_windows(traces[device], cfg.window_s, cfg.vector_len)
+            ]
             # Split/forest seeds are shared across arms: identical inputs
             # (a no-op defense) then produce identical metric blocks.
-            train, test = split_dataset(
-                vectors,
-                float(cfg["train_fraction"]),
-                random.Random(derive_seed(master, "split")),
-            )
+            split_rng = random.Random(derive_seed(master, "split"))
+            train, test = split_dataset(vectors, cfg.train_fraction, split_rng)
+            forest_rng = random.Random(derive_seed(master, "forest"))
             model = train_forest(
-                train,
-                n_trees=int(cfg["n_trees"]),
-                max_depth=cfg["max_depth"],
-                rng=random.Random(derive_seed(master, "forest")),
+                train, n_trees=cfg.n_trees, max_depth=cfg.max_depth, rng=forest_rng
             )
             metrics[arm] = evaluate(model, test)
 
         stage = "overheads"
         overheads: dict[str, dict[str, OverheadResult]] = {}
         for arm in ("padded", "segmented"):
-            rows: dict[str, OverheadResult] = {}
-            tot_w = tot_d = tot_cov = tot_wt = tot_dt = 0
-            for device in sorted(base):
-                w, d = base[device], arms[arm][device]
-                row = OverheadResult(
-                    w_b=w.total_bytes,
-                    d_b=d.total_bytes,
-                    w_t_us=w.duration_us,
-                    d_t_us=d.duration_us,
+            rows = {
+                device: OverheadResult(
+                    w_b=base[device].total_bytes,
+                    d_b=arms[arm][device].total_bytes,
+                    w_t_us=base[device].duration_us,
+                    d_t_us=arms[arm][device].duration_us,
                     cover_bytes=cover_bytes[device] if arm == "segmented" else 0,
                 )
-                rows[device] = row
-                tot_w += row.w_b
-                tot_d += row.d_b
-                tot_cov += row.cover_bytes
-                tot_wt += row.w_t_us
-                tot_dt += row.d_t_us
+                for device in sorted(base)
+            }
             # Totals aggregate raw bytes first, then divide.
-            rows["total"] = OverheadResult(tot_w, tot_d, tot_wt, tot_dt, tot_cov)
+            rows["total"] = OverheadResult(
+                *(sum(getattr(r, f.name) for r in rows.values()) for f in fields(OverheadResult))
+            )
             overheads[arm] = rows
     except SegShieldError:
         raise
@@ -309,7 +300,7 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         raise StageError(stage, exc) from exc
 
     seeds = {"master": master}
-    report = Report(config=cfg, seeds=seeds, metrics=metrics, overheads=overheads)
+    report = Report(config=cfg.source, seeds=seeds, metrics=metrics, overheads=overheads)
     if out is not None:
         write_report(report, out)
     return report
@@ -324,26 +315,13 @@ def write_report(report: Report, out_dir: str | Path) -> None:
     with open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["arm", "accuracy", "precision", "recall", "f1"])
-        for arm in sorted(report.metrics):
-            m = report.metrics[arm]
+        for arm, m in sorted(report.metrics.items()):
             writer.writerow([arm, m.accuracy, m.precision, m.recall, m.f1])
     with open(out / "overhead.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["arm", "device", "w_b", "d_b", "cover_bytes", "b_percent", "t_percent"]
-        )
-        for arm in sorted(report.overheads):
-            rows = report.overheads[arm]
-            for device in sorted(rows):
-                o = rows[device]
-                writer.writerow(
-                    [
-                        arm,
-                        device,
-                        o.w_b,
-                        o.d_b,
-                        o.cover_bytes,
-                        round(float(o.b) * 100, 6),
-                        round(float(o.t) * 100, 6),
-                    ]
-                )
+        writer.writerow(["arm", "device", "w_b", "d_b", "cover_bytes", "b_percent", "t_percent"])
+        for arm, rows in sorted(report.overheads.items()):
+            for device, o in sorted(rows.items()):
+                pct = o.to_dict()
+                row = [o.w_b, o.d_b, o.cover_bytes, pct["b_percent"], pct["t_percent"]]
+                writer.writerow([arm, device, *row])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -18,6 +18,8 @@ from .errors import ConfigurationError
 # IPv4 + TCP headers without options; a segment payload larger than
 # mtu - this would force IP fragmentation.
 TCP_IP_HEADER_BYTES = 40
+DEFAULT_MSS = 1460
+DEFAULT_MTU = 1500
 
 
 def payload_capacity(mtu: int) -> int:
@@ -55,8 +57,8 @@ class SegmentationConfig:
 
     prob: float
     bands: tuple[LevelBand, ...]
-    mss: int = 1460
-    mtu: int = 1500
+    mss: int = DEFAULT_MSS
+    mtu: int = DEFAULT_MTU
     seed: int = 0
 
     def __post_init__(self):
@@ -85,42 +87,13 @@ class SegmentationConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SegmentationConfig":
-        try:
-            bands = tuple(
-                LevelBand(
-                    min_seg=int(b["min_seg"]),
-                    max_seg=int(b["max_seg"]),
-                    upper_threshold=(
-                        None if b.get("upper_threshold") is None else int(b["upper_threshold"])
-                    ),
-                )
-                for b in raw["bands"]
-            )
-            return cls(
-                prob=float(raw["prob"]),
-                bands=bands,
-                mss=int(raw.get("mss", 1460)),
-                mtu=int(raw.get("mtu", 1500)),
-                seed=int(raw.get("seed", 0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"malformed segmentation config: {exc}") from exc
+        """Parse and check a full config object (see profiles.resolve_segmentation)."""
+        from .profiles import resolve_segmentation  # profiles builds on this module
+
+        return resolve_segmentation(raw)
 
     def to_dict(self) -> dict:
-        return {
-            "prob": self.prob,
-            "mss": self.mss,
-            "mtu": self.mtu,
-            "seed": self.seed,
-            "bands": [
-                {
-                    "upper_threshold": b.upper_threshold,
-                    "min_seg": b.min_seg,
-                    "max_seg": b.max_seg,
-                }
-                for b in self.bands
-            ],
-        }
+        return {**asdict(self), "bands": [asdict(b) for b in self.bands]}
 
 
 def load_config(path: str | Path) -> SegmentationConfig:
@@ -180,17 +153,18 @@ def segment_lengths(n: int, config: SegmentationConfig, rng: random.Random) -> S
     """Split an ``n``-byte message into randomly sized chunks.
 
     Messages shorter than the band's min_seg, or losing the probability
-    draw, pass through whole. Otherwise chunk lengths are drawn uniformly
-    from [min_seg, max_seg]; once the remaining bytes fit inside one draw
-    the final chunk takes them all, so only the final chunk may be shorter
-    than min_seg (and it never exceeds max_seg).
+    draw (a uniform draw in [0, 1) wins only below prob, so prob=0 never
+    segments), pass through whole. Otherwise chunk lengths are drawn
+    uniformly from [min_seg, max_seg]; once the remaining bytes fit inside
+    one draw the final chunk takes them all, so only the final chunk may be
+    shorter than min_seg (and it never exceeds max_seg).
     """
     if n < 1:
         raise ValueError(f"message length must be >= 1, got {n}")
     band = select_band(n, config)
     # Short-circuit keeps the probability draw unconsumed for ineligible
     # messages, mirroring the send-path behaviour exactly.
-    if n < band.min_seg or rng.random() > config.prob:
+    if n < band.min_seg or rng.random() >= config.prob:
         return SegmentPlan((n,), segmented=False)
     lengths: list[int] = []
     start = 0

@@ -19,7 +19,7 @@ import select
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from .errors import ConfigurationError, IntegrityError, TransportError
@@ -67,13 +67,7 @@ class TransferStats:
                 raise ValueError("packets_sent must equal len(segment_log)")
 
     def to_dict(self) -> dict:
-        return {
-            "bytes_sent": self.bytes_sent,
-            "packets_sent": self.packets_sent,
-            "wall_time": self.wall_time,
-            "segment_log": list(self.segment_log),
-            "checksum": self.checksum,
-        }
+        return {**asdict(self), "segment_log": list(self.segment_log)}
 
 
 def parse_address(address) -> tuple[str, int]:
@@ -298,6 +292,25 @@ def bound_port(host: str = "127.0.0.1") -> int:
         return probe.getsockname()[1]
 
 
+def send_seeded_payload(
+    address,
+    file_bytes: int,
+    config: SegmentationConfig | None,
+    tuning: SocketTuning | None,
+    seed: int,
+    rep: int,
+) -> TransferStats:
+    """Repetition ``rep`` of a seeded transfer: a pseudo-random payload from
+    derive_seed(seed, "payload", rep), planned with an RNG from
+    derive_seed(seed, "plan", rep). The stats carry the payload digest."""
+    payload = random.Random(derive_seed(seed, "payload", rep)).randbytes(file_bytes)
+    conn = open_shaped_connection(address, config, tuning, rng=derive_seed(seed, "plan", rep))
+    with conn:
+        conn.send(payload)
+        stats = conn.finish()
+    return replace(stats, checksum=hashlib.sha256(payload).hexdigest())
+
+
 def run_transfer_benchmark(
     file_bytes: int,
     config: SegmentationConfig | None,
@@ -318,19 +331,13 @@ def run_transfer_benchmark(
         raise ValueError("repetitions must be >= 1")
     if file_bytes < 1:
         raise ValueError("file_bytes must be >= 1")
+    tuned = (tuning or SocketTuning()).receive_buffer_bytes
+    rx_buffer = receiver_recv_buffer or tuned or DEFAULT_RECV_BUFFER
     runs: list[TransferStats] = []
     for rep in range(repetitions):
-        payload = random.Random(derive_seed(seed, "payload", rep)).randbytes(file_bytes)
-        expected = hashlib.sha256(payload).hexdigest()
         port = bound_port(host)
         listening = threading.Event()
         result: list[TransferStats] = []
-        if receiver_recv_buffer is not None:
-            rx_buffer = receiver_recv_buffer
-        elif tuning is not None and tuning.receive_buffer_bytes is not None:
-            rx_buffer = tuning.receive_buffer_bytes
-        else:
-            rx_buffer = DEFAULT_RECV_BUFFER
         receiver = threading.Thread(
             target=run_receiver,
             args=(port,),
@@ -346,29 +353,16 @@ def run_transfer_benchmark(
         receiver.start()
         if not listening.wait(timeout=10):
             raise TransportError("receiver did not come up")
-        conn = open_shaped_connection(
-            (host, port), config, tuning, rng=derive_seed(seed, "plan", rep)
-        )
-        with conn:
-            conn.send(payload)
-            stats = conn.finish()
+        stats = send_seeded_payload((host, port), file_bytes, config, tuning, seed, rep)
         receiver.join(timeout=30)
         if receiver.is_alive() or not result:
             raise TransportError("receiver did not finish")
         got = result[0].checksum
-        if got != expected:
+        if got != stats.checksum:
             raise IntegrityError(
-                f"run {rep}: digest mismatch: got {got[:12]}.., want {expected[:12]}.."
+                f"run {rep}: digest mismatch: got {got[:12]}.., want {stats.checksum[:12]}.."
             )
-        runs.append(
-            TransferStats(
-                bytes_sent=stats.bytes_sent,
-                packets_sent=stats.packets_sent,
-                wall_time=stats.wall_time,
-                segment_log=stats.segment_log,
-                checksum=got,
-            )
-        )
+        runs.append(stats)
     return runs
 
 

@@ -18,10 +18,13 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, TraceFormatError
 from .rng import make_rng
-from .segcore import SegmentationConfig, pad_packet_random, segment_lengths
+from .segcore import DEFAULT_MTU, SegmentationConfig, pad_packet_random, segment_lengths
 
 DEFAULT_HEADER_BYTES = 82  # MAC-level frame header; IP-level accounting uses 54
 IP_HEADER_BYTES = 54
+DEFAULT_MTU_FRAME = DEFAULT_MTU + DEFAULT_HEADER_BYTES
+DEFAULT_DURATION_S = 3600.0
+DEFAULT_TIME_OVERHEAD = 0.2
 
 
 @dataclass(frozen=True)
@@ -135,18 +138,10 @@ class DeviceProfile:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DeviceProfile":
-        try:
-            return cls(
-                name=str(raw["name"]),
-                mean_rate=float(raw["mean_rate"]),
-                incoming=tuple((int(l), float(w)) for l, w in raw.get("incoming", [])),
-                outgoing=tuple((int(l), float(w)) for l, w in raw.get("outgoing", [])),
-                mode_schedule=tuple(
-                    (float(a), float(b), float(m)) for a, b, m in raw.get("mode_schedule", [])
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed device profile: {exc}") from exc
+        """Parse and check a full profile object (see profiles.resolve_device)."""
+        from .profiles import resolve_device  # profiles builds on this module
+
+        return resolve_device(raw)
 
     def to_dict(self) -> dict:
         return {
@@ -238,8 +233,6 @@ def ingest_trace(
                 rows.append((lineno, row))
 
     records: list[PacketRecord] = []
-    prev_ts = -1
-    device: str | None = None
     for lineno, row in rows:
         try:
             record = PacketRecord(
@@ -250,20 +243,19 @@ def ingest_trace(
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
-        if record.timestamp_us < prev_ts:
+        if records and record.timestamp_us < records[-1].timestamp_us:
             raise TraceFormatError(
                 f"timestamp {record.timestamp_us} breaks ordering", line=lineno
             )
-        if device is None:
-            device = record.device
-        elif record.device != device:
+        if records and record.device != records[0].device:
             raise TraceFormatError(
-                f"device {record.device!r} differs from {device!r}", line=lineno
+                f"device {record.device!r} differs from {records[0].device!r}", line=lineno
             )
-        prev_ts = record.timestamp_us
         records.append(record)
 
-    return Trace(tuple(records), device or "", header_bytes)
+    if not records:
+        raise TraceFormatError(f"{path} holds no records")
+    return Trace(tuple(records), records[0].device, header_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +317,7 @@ def synthesize_trace(
 def obfuscate_trace(
     trace: Trace,
     config: SegmentationConfig,
-    time_overhead: float = 0.20,
+    time_overhead: float = DEFAULT_TIME_OVERHEAD,
     rng: random.Random | int | None = None,
 ) -> Trace:
     """Replay random segmentation over every frame's payload.

@@ -90,6 +90,18 @@ class TestTracesimCli:
         covered = [r for r in ingest_trace(out).records if r.covered]
         assert covered
 
+    def test_synth_from_profile_json(self, tmp_path, capsys):
+        profile = {"name": "custom", "mean_rate": 2.0, "incoming": [[130, 1.0]]}
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(profile))
+        out = tmp_path / "custom.jsonl"
+        args = ["synth", "--profile", str(path), "--duration", "60", "--out", str(out)]
+        assert main_tracesim(args) == 0
+        assert ingest_trace(out).device == "custom"
+        path.write_text(json.dumps({**profile, "colour": "red"}))
+        assert main_tracesim(args) == 1
+        assert "error: --profile.colour: unknown key" in capsys.readouterr().err
+
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         code = main_tracesim(
             ["obfuscate", "--in", str(tmp_path / "none.jsonl"), "--out",

@@ -1,17 +1,22 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from segshield.errors import ConfigurationError
+from segshield.cli import main_segshield
+from segshield.errors import ConfigurationError, TraceFormatError
+from segshield.profiles import device_profile, resolve_device, resolve_segmentation
 from segshield.report import (
+    ExperimentConfig,
     OverheadResult,
     StageError,
     byte_overhead,
     run_experiment,
     time_overhead,
 )
+from segshield.tracesim import synthesize_trace, write_trace
 
 TINY_PAIR = {
     "seed": 11,
@@ -170,3 +175,101 @@ class TestRunExperiment:
         assert row.cover_bytes > 0
         assert row.b_with_cover > row.b
         assert report.overheads["segmented"]["plug-like"].cover_bytes == 0
+
+
+CUSTOM_DEVICE = {"name": "custom", "mean_rate": 2.0, "incoming": [[130, 1.0]]}
+
+
+class TestExperimentConfig:
+    def test_defaults_typed_and_echoed(self):
+        cfg = ExperimentConfig.from_dict(TINY_PAIR)
+        assert cfg.duration_s == 420.0 and isinstance(cfg.duration_s, float)
+        assert cfg.n_trees == 10 and cfg.window_s == 30.0 and cfg.mtu_frame == 1582
+        assert cfg.segmentation.prob == 0.8 and cfg.cover_reference is None
+        assert [p.name for p in cfg.devices] == ["bulb-like", "plug-like"]
+        assert cfg.source["duration_s"] == 420
+        assert cfg.source["segmentation"] == {"profile": "low-bandwidth"}
+        assert cfg.source["cover"] == {"enabled": False}
+
+    @pytest.mark.parametrize(
+        "change,path",
+        [
+            ({"n_trees": "many"}, "n_trees"),
+            ({"cover": True}, "cover"),
+            ({"cover": {"enabeld": True}}, "cover.enabeld"),
+            ({"segmentation": {"profile": "low-bandwidth", "prb": 0.0}}, "segmentation.prb"),
+            ({"devices": [{**CUSTOM_DEVICE, "colour": "red"}, "plug-like"]}, "devices[0].colour"),
+        ],
+    )
+    def test_bad_config_fails_before_any_output(self, tmp_path, capsys, change, path):
+        config = {**TINY_PAIR, **change}
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match="^" + re.escape(path) + ":"):
+            run_experiment(config, out)
+        assert not out.exists()
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main_segshield(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change,path",
+        [
+            ({"train_fraction": 1.0}, "train_fraction"),
+            ({"max_depth": 0}, "max_depth"),
+            ({"seed": True}, "seed"),
+            ({"duration_s": float("inf")}, "duration_s"),
+            ({"devices": ["bulb-like"]}, "devices"),
+            ({"devices": ["bulb-like", "bulb-like"]}, "devices"),
+            ({"devices": ["bulb-like", "nope"]}, "devices[1]"),
+            ({"cover": {"enabled": True}}, "cover.reference"),
+            (
+                {"segmentation": {"prob": 0.5, "bands": [{"min_seg": 5}]}},
+                "segmentation.bands[0].max_seg",
+            ),
+            ({"segmentation": {"profile": "low-bandwidth", "prob": 1.5}}, "segmentation"),
+        ],
+    )
+    def test_rejected_with_key_path(self, change, path):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_dict({**TINY_PAIR, **change})
+        assert str(err.value).startswith(f"{path}:")
+
+    def test_full_objects_resolve(self):
+        bands = [{"min_seg": 5, "max_seg": 20, "upper_threshold": None}]
+        seg = resolve_segmentation({"prob": 0.5, "bands": bands}, seed=3)
+        assert seg.prob == 0.5 and seg.bands[0].max_seg == 20 and seg.seed == 3
+        device = resolve_device({**CUSTOM_DEVICE, "outgoing": [[116, 0.5]]})
+        assert device.incoming == ((130, 1.0),) and device.outgoing == ((116, 0.5),)
+        assert resolve_device({"profile": "bulb-like", "mean_rate": 3}) == device_profile(
+            "bulb-like", 3.0
+        )
+        with pytest.raises(ConfigurationError, match=r"^device\.incoming\[0\]\[0\]:"):
+            resolve_device({**CUSTOM_DEVICE, "incoming": [["130", 1.0]]})
+
+
+class TestBadInputsWriteNothing:
+    def _write(self, tmp_path, name, profile, seed):
+        path = tmp_path / name
+        write_trace(synthesize_trace(device_profile(profile), 120, seed), path)
+        return str(path)
+
+    def test_duplicate_device_labels(self, tmp_path):
+        first = self._write(tmp_path, "a.jsonl", "bulb-like", 1)
+        second = self._write(tmp_path, "b.jsonl", "bulb-like", 2)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError) as err:
+            run_experiment({"traces": [first, second], "n_trees": 5}, out)
+        assert first in str(err.value) and second in str(err.value)
+        assert list((out / "traces").iterdir()) == []
+
+    def test_empty_trace_file(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        good = self._write(tmp_path, "a.jsonl", "bulb-like", 1)
+        out = tmp_path / "out"
+        with pytest.raises(TraceFormatError, match=re.escape(str(empty))):
+            run_experiment({"traces": [good, str(empty)], "n_trees": 5}, out)
+        assert list((out / "traces").iterdir()) == []

@@ -73,6 +73,15 @@ class TestSegmentLengths:
         plan = segment_lengths(300, config, random.Random(1))
         assert plan == SegmentPlan((300,), segmented=False)
 
+    def test_prob_zero_never_segments_on_zero_draw(self, low_bandwidth):
+        class ZeroDraw(random.Random):
+            def random(self):
+                return 0.0
+
+        config = SegmentationConfig(prob=0.0, bands=low_bandwidth.bands)
+        plan = segment_lengths(300, config, ZeroDraw(0))
+        assert plan == SegmentPlan((300,), segmented=False)
+
     def test_degenerate_band_hand_trace(self):
         # min = max = 100 makes every draw 100: 350 bytes fold into
         # three full chunks plus the 50-byte tail.

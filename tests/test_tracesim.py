@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +73,15 @@ class TestTraceIO:
         back = ingest_trace(path)
         assert back.records == trace.records
         assert back.device == trace.device
+
+    @pytest.mark.parametrize(
+        "name,text", [("e.jsonl", "\n"), ("e.csv", "timestamp_us,signed_size,covered,device\n")]
+    )
+    def test_empty_file_rejected(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=re.escape(str(path))):
+            ingest_trace(path)
 
     def test_csv_roundtrip(self, tmp_path):
         trace = mk_trace([130, -116, 144])
