@@ -3,24 +3,30 @@ random forest, and confusion-matrix metrics.
 
 The classifier is rebuilt here rather than imported so that training is
 bit-reproducible from a single integer seed and so a depth-1 single-tree
-forest can be checked exactly against an exhaustive split search. Split
-scores use integer squared class counts with one float division per side,
-which keeps scores identical between the vectorized trainer and any naive
-reimplementation.
+forest can be checked exactly against an exhaustive split search.
+
+A forest is a set of flat node arrays (feature, threshold, left, right,
+label), one entry per node and the trees back to back, as in scikit-learn's
+tree. Trees grow from an explicit stack, so depth is bounded by memory, not
+by the interpreter's recursion limit. Each node's split search sorts and
+accumulates class counts for all candidate features in one numpy pass; the
+scores are integer squared class counts with one float division per side,
+so they are bit-identical to a per-feature loop (kept in the tests as the
+reference). Prediction routes every (row, tree) pair one level at a time.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from math import isqrt
 from typing import Sequence
 
 import numpy as np
 
 from .rng import derive_seed, make_rng
-from .tracesim import Trace
+from .tracesim import Trace, window_us
 
 DEFAULT_VECTOR_LEN = 200
 DEFAULT_WINDOW_S = 30.0
@@ -48,14 +54,12 @@ def extract_windows(
 ) -> list[FeatureVector]:
     """Cut the trace into fixed windows and emit one vector per non-empty
     window. Cover records are included: the observer cannot strip them."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
+    width = window_us(window_s)
     if vector_len <= 0:
         raise ValueError("vector_len must be positive")
-    window_us = round(window_s * 1e6)
     buckets: dict[int, list[int]] = {}
     for rec in trace.records:
-        buckets.setdefault(rec.timestamp_us // window_us, []).append(rec.signed_size)
+        buckets.setdefault(rec.timestamp_us // width, []).append(rec.signed_size)
     vectors = []
     for idx in sorted(buckets):
         sizes = buckets[idx]
@@ -97,133 +101,188 @@ def split_dataset(
 # decision trees
 
 
+@dataclass(frozen=True, eq=False)
+class ForestNodes:
+    """Every node of a forest in flat arrays, one entry per node. A split
+    node sends a row to ``left`` when ``row[feature] <= threshold``, else to
+    ``right``; a leaf has ``feature == -1`` and children -1 and votes for
+    ``label``."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+
+
 @dataclass(frozen=True)
 class TreeNode:
-    """Axis-aligned split node; a leaf stores label_index and no children."""
+    """Read-only view of one node of a ``ForestNodes``."""
 
-    label_index: int
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    nodes: ForestNodes
+    index: int
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return self.feature < 0
+
+    @property
+    def feature(self) -> int:
+        return int(self.nodes.feature[self.index])
+
+    @property
+    def threshold(self) -> float:
+        return float(self.nodes.threshold[self.index])
+
+    @property
+    def label_index(self) -> int:
+        return int(self.nodes.label[self.index])
+
+    @property
+    def left(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.nodes, int(self.nodes.left[self.index]))
+
+    @property
+    def right(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.nodes, int(self.nodes.right[self.index]))
 
 
-def _majority_index(counts: np.ndarray) -> int:
-    # np.argmax takes the first maximum, i.e. the smallest label index on ties.
-    return int(np.argmax(counts))
-
-
-def _best_split(
-    X: np.ndarray, y: np.ndarray, n_classes: int, feature_ids: Sequence[int]
-) -> tuple[int, float] | None:
-    """Exhaustive best split over the given features.
+def _best_split(values: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[int, float] | None:
+    """Exhaustive best split over the rows of ``values`` (one row per
+    candidate feature, one column per sample), as (row, threshold), or None
+    when no row varies.
 
     Score to maximize: sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
     equivalent to minimizing weighted Gini impurity. Squared counts stay in
-    integers; ties resolve to the lowest feature id, then lowest threshold.
+    integers; ties resolve to the lowest row, then the lowest threshold.
     """
     n = len(y)
-    best_score = -1.0
-    best: tuple[int, float] | None = None
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), y] = 1
-    for f in feature_ids:
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        v_sorted = values[order]
-        cum = np.cumsum(onehot[order], axis=0)
-        boundary = np.nonzero(v_sorted[:-1] != v_sorted[1:])[0]
-        if boundary.size == 0:
-            continue
-        left_counts = cum[boundary]
-        right_counts = cum[-1] - left_counts
-        n_left = boundary + 1
-        n_right = n - n_left
-        scores = (
-            np.sum(left_counts * left_counts, axis=1) / n_left
-            + np.sum(right_counts * right_counts, axis=1) / n_right
-        )
-        i = int(np.argmax(scores))
-        score = float(scores[i])
-        if score > best_score:
-            best_score = score
-            b = boundary[i]
-            best = (f, (float(v_sorted[b]) + float(v_sorted[b + 1])) / 2.0)
-    return best
+    # Class counts are read only between distinct values, so the order
+    # within a run of equal values does not matter.
+    order = values.argsort(axis=1)
+    v_sorted = np.sort(values, axis=1)
+    classes = np.arange(n_classes)[:, None, None]
+    cum = (y[order] == classes).cumsum(axis=2, dtype=np.int64)  # (k, F, n)
+    left_counts = cum[:, :, :-1]
+    right_counts = cum[:, :, -1:] - left_counts
+    n_left = np.arange(1, n)
+    scores = (left_counts * left_counts).sum(axis=0) / n_left + (
+        right_counts * right_counts
+    ).sum(axis=0) / (n - n_left)
+    # Every real score is positive; -1 marks a cut between equal values.
+    scores[v_sorted[:, :-1] == v_sorted[:, 1:]] = -1.0
+    row, b = divmod(int(scores.argmax()), n - 1)
+    if scores[row, b] < 0:
+        return None
+    return row, (float(v_sorted[row, b]) + float(v_sorted[row, b + 1])) / 2.0
 
 
 def _grow_tree(
-    X: np.ndarray,
+    XT: np.ndarray,
     y: np.ndarray,
+    rows: np.ndarray,
     n_classes: int,
     max_depth: int | None,
     max_features: int | None,
     rng: random.Random,
-    depth: int = 0,
-) -> TreeNode:
-    counts = np.bincount(y, minlength=n_classes)
-    label_index = _majority_index(counts)
-    if np.count_nonzero(counts) <= 1:
-        return TreeNode(label_index)
-    if max_depth is not None and depth >= max_depth:
-        return TreeNode(label_index)
-    n_features = X.shape[1]
-    if max_features is None or max_features >= n_features:
-        feature_ids: Sequence[int] = range(n_features)
-    else:
-        feature_ids = sorted(rng.sample(range(n_features), max_features))
-    split = _best_split(X, y, n_classes, feature_ids)
-    if split is None:
-        return TreeNode(label_index)
-    f, threshold = split
-    mask = X[:, f] <= threshold
-    left = _grow_tree(X[mask], y[mask], n_classes, max_depth, max_features, rng, depth + 1)
-    right = _grow_tree(X[~mask], y[~mask], n_classes, max_depth, max_features, rng, depth + 1)
-    return TreeNode(label_index, f, threshold, left, right)
-
-
-def _tree_predict(node: TreeNode, row: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.label_index
+    first: int,
+) -> ForestNodes:
+    """Grow one tree on the samples ``rows`` of ``XT`` (features x samples)
+    into flat arrays whose node ids start at ``first``. Nodes are numbered in
+    preorder, the order in which ``rng`` draws each node's candidate
+    features, so a split node's left child is the next node."""
+    n_features = len(XT)
+    feature: list[int] = []
+    threshold: list[float] = []
+    right: list[int] = []
+    label: list[int] = []
+    stack = [(rows, 0, -1)]  # (rows, depth, parent whose right child this is)
+    while stack:
+        rows, depth, parent = stack.pop()
+        node = len(label)
+        if parent >= 0:
+            right[parent] = first + node
+        y_node = y[rows]
+        counts = np.bincount(y_node, minlength=n_classes)
+        # argmax takes the first maximum, i.e. the smallest label index on ties.
+        majority = int(counts.argmax())
+        label.append(majority)
+        feature.append(-1)
+        threshold.append(0.0)
+        right.append(-1)
+        if counts[majority] == len(rows) or (max_depth is not None and depth >= max_depth):
+            continue
+        if max_features is None or max_features >= n_features:
+            feature_ids = np.arange(n_features)
+        else:
+            feature_ids = np.array(sorted(rng.sample(range(n_features), max_features)))
+        split = _best_split(XT[feature_ids[:, None], rows], y_node, n_classes)
+        if split is None:
+            continue
+        column, cut = split
+        feature[node] = f = int(feature_ids[column])
+        threshold[node] = cut
+        goes_left = XT[f, rows] <= cut
+        stack.append((rows[~goes_left], depth + 1, node))
+        stack.append((rows[goes_left], depth + 1, -1))
+    splits = np.array(feature, dtype=np.int64)
+    return ForestNodes(
+        feature=splits,
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.where(splits >= 0, first + np.arange(1, len(label) + 1), -1),
+        right=np.array(right, dtype=np.int64),
+        label=np.array(label, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[TreeNode, ...]
+    """A trained forest: its nodes, the node id of each tree's root, and the
+    class labels that node ``label`` values index."""
+
+    nodes: ForestNodes
+    roots: tuple[int, ...]
     labels: tuple[str, ...]
     n_features: int
     max_depth: int | None
     seed: int
 
     @property
+    def trees(self) -> tuple[TreeNode, ...]:
+        """The root of each tree."""
+        return tuple(TreeNode(self.nodes, root) for root in self.roots)
+
+    @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
 
     def predict(self, vectors: Sequence[FeatureVector]) -> list[str]:
+        """Route every (row, tree) pair down one level at a time, then take
+        each row's majority vote (the smallest label index on ties)."""
         X = _as_matrix(vectors, self.n_features)
-        out = []
-        for row in X:
-            votes = np.zeros(len(self.labels), dtype=np.int64)
-            for tree in self.trees:
-                votes[_tree_predict(tree, row)] += 1
-            out.append(self.labels[_majority_index(votes)])
-        return out
+        nodes = self.nodes
+        n_rows, n_trees, k = len(X), len(self.roots), len(self.labels)
+        row = np.repeat(np.arange(n_rows), n_trees)
+        at = np.tile(np.array(self.roots, dtype=np.int64), n_rows)
+        active = np.flatnonzero(nodes.feature[at] >= 0)
+        while active.size:
+            cur = at[active]
+            goes_left = X[row[active], nodes.feature[cur]] <= nodes.threshold[cur]
+            at[active] = np.where(goes_left, nodes.left[cur], nodes.right[cur])
+            active = active[nodes.feature[at[active]] >= 0]
+        votes = np.bincount(row * k + nodes.label[at], minlength=n_rows * k)
+        return [self.labels[i] for i in np.argmax(votes.reshape(n_rows, k), axis=1)]
 
 
 def _as_matrix(vectors: Sequence[FeatureVector], n_features: int) -> np.ndarray:
-    X = np.zeros((len(vectors), n_features), dtype=np.int64)
     for i, vec in enumerate(vectors):
         if len(vec.values) != n_features:
             raise ValueError(
                 f"vector {i} has length {len(vec.values)}, dataset uses {n_features}"
             )
-        X[i] = vec.values
-    return X
+    return np.array([vec.values for vec in vectors], dtype=np.int64).reshape(
+        len(vectors), n_features
+    )
 
 
 def train_forest(
@@ -243,12 +302,16 @@ def train_forest(
         raise ValueError("training set is empty")
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
+    if max_depth is not None and max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1 or None, got {max_depth!r}")
+    if isinstance(max_features, str) and max_features != "sqrt":
+        raise ValueError(f"max_features must be 'sqrt', an int or None, got {max_features!r}")
     labels = tuple(sorted({v.label for v in train}))
     if len(labels) < 2:
         raise ValueError(f"training set has a single class {labels[0]!r}")
     label_index = {lab: i for i, lab in enumerate(labels)}
     n_features = len(train[0].values)
-    X = _as_matrix(train, n_features)
+    XT = np.ascontiguousarray(_as_matrix(train, n_features).T)
     y = np.array([label_index[v.label] for v in train], dtype=np.int64)
 
     if max_features == "sqrt":
@@ -263,17 +326,24 @@ def train_forest(
     base = make_rng(rng)
     seed = base.getrandbits(63)
     n = len(train)
-    trees = []
+    trees: list[ForestNodes] = []
+    roots: list[int] = []
+    n_nodes = 0
     for t in range(n_trees):
         tree_rng = random.Random(derive_seed(seed, "tree", t))
         if bootstrap:
-            idx = np.array([tree_rng.randrange(n) for _ in range(n)], dtype=np.int64)
-            Xt, yt = X[idx], y[idx]
+            rows = np.array([tree_rng.randrange(n) for _ in range(n)], dtype=np.int64)
         else:
-            Xt, yt = X, y
-        trees.append(_grow_tree(Xt, yt, len(labels), max_depth, n_candidates, tree_rng))
+            rows = np.arange(n)
+        tree = _grow_tree(XT, y, rows, len(labels), max_depth, n_candidates, tree_rng, n_nodes)
+        trees.append(tree)
+        roots.append(n_nodes)
+        n_nodes += len(tree.label)
     return ForestModel(
-        trees=tuple(trees),
+        nodes=ForestNodes(
+            *(np.concatenate([getattr(t, f.name) for t in trees]) for f in fields(ForestNodes))
+        ),
+        roots=tuple(roots),
         labels=labels,
         n_features=n_features,
         max_depth=max_depth,

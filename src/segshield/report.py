@@ -113,7 +113,9 @@ _TRACES = (
     (lambda v: len(v) >= 2 and all(isinstance(p, str) for p in v), "two or more path strings"),
 )
 _UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
-_COVER_KEYS = {"enabled": bool, "reference": str | None, "window_s": (float, POSITIVE)}
+# Windows are cut in whole microseconds (tracesim.window_us).
+_WINDOW = (lambda v: round(v * 1e6) >= 1, "at least 1 µs once rounded to whole microseconds")
+_COVER_KEYS = {"enabled": bool, "reference": str | None, "window_s": (float, _WINDOW)}
 
 
 def _key(default, kind, rule):
@@ -135,7 +137,7 @@ class ExperimentConfig:
     traces: tuple[str, ...] = ()
     seed: int = _key(0, int, NON_NEGATIVE)
     duration_s: float = _key(tracesim.DEFAULT_DURATION_S, float, POSITIVE)
-    window_s: float = _key(attackeval.DEFAULT_WINDOW_S, float, POSITIVE)
+    window_s: float = _key(attackeval.DEFAULT_WINDOW_S, float, _WINDOW)
     vector_len: int = _key(attackeval.DEFAULT_VECTOR_LEN, int, POSITIVE)
     train_fraction: float = _key(attackeval.DEFAULT_TRAIN_FRACTION, float, _UNIT)
     n_trees: int = _key(attackeval.DEFAULT_N_TREES, int, POSITIVE)

@@ -27,6 +27,17 @@ DEFAULT_DURATION_S = 3600.0
 DEFAULT_TIME_OVERHEAD = 0.2
 
 
+def window_us(window_s: float) -> int:
+    """A window length in whole microseconds, the unit traces are cut in.
+    Raise ValueError unless it is at least 1."""
+    us = round(window_s * 1e6)
+    if us < 1:
+        raise ValueError(
+            f"window_s must be at least 1 µs once rounded to whole microseconds, got {window_s!r}"
+        )
+    return us
+
+
 @dataclass(frozen=True)
 class PacketRecord:
     """One observed packet: when, how big, which way, and whether it is a
@@ -406,15 +417,13 @@ def inject_cover_traffic(
     Cover sizes and directions are resampled from the target's own records
     so the filler does not import the reference's size fingerprint.
     """
-    if window_s <= 0:
-        raise ValueError("window must be positive")
+    width = window_us(window_s)
     rng = make_rng(rng)
-    window_us = round(window_s * 1e6)
 
     def volumes(trace: Trace) -> dict[int, int]:
         vols: dict[int, int] = {}
         for r in trace.records:
-            idx = r.timestamp_us // window_us
+            idx = r.timestamp_us // width
             vols[idx] = vols.get(idx, 0) + r.size
         return vols
 
@@ -432,7 +441,7 @@ def inject_cover_traffic(
             raise ConfigurationError("target trace is empty; no size distribution for cover")
         while deficit > 0:
             size, sign = pool[rng.randrange(len(pool))]
-            ts = idx * window_us + rng.randrange(window_us)
+            ts = idx * width + rng.randrange(width)
             cover.append(
                 PacketRecord(
                     timestamp_us=ts,

@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import brute_force_stump, random_vectors
 from segshield.attackeval import (
     FeatureVector,
+    _best_split,
     evaluate,
     extract_windows,
     f1_score,
@@ -25,6 +28,68 @@ def mk_trace(entries, device="dev"):
 
 def labeled(values_label_pairs):
     return [FeatureVector(values=v, label=lab) for v, lab in values_label_pairs]
+
+
+def reference_best_split(X, y, n_classes, feature_ids):
+    """The per-feature split search the vectorized one replaced: features in
+    ascending order, a later feature wins only on a strictly higher score."""
+    n = len(y)
+    best_score = -1.0
+    best = None
+    onehot = np.zeros((n, n_classes), dtype=np.int64)
+    onehot[np.arange(n), y] = 1
+    for f in feature_ids:
+        values = X[:, f]
+        order = np.argsort(values, kind="stable")
+        v_sorted = values[order]
+        cum = np.cumsum(onehot[order], axis=0)
+        boundary = np.nonzero(v_sorted[:-1] != v_sorted[1:])[0]
+        if boundary.size == 0:
+            continue
+        left_counts = cum[boundary]
+        right_counts = cum[-1] - left_counts
+        n_left = boundary + 1
+        n_right = n - n_left
+        scores = (
+            np.sum(left_counts * left_counts, axis=1) / n_left
+            + np.sum(right_counts * right_counts, axis=1) / n_right
+        )
+        i = int(np.argmax(scores))
+        score = float(scores[i])
+        if score > best_score:
+            best_score = score
+            b = boundary[i]
+            best = (f, (float(v_sorted[b]) + float(v_sorted[b + 1])) / 2.0)
+    return best
+
+
+def walk_predict(model, vectors):
+    """Majority vote of a per-row walk down each tree's nodes."""
+    out = []
+    for vec in vectors:
+        votes = [0] * len(model.labels)
+        for node in model.trees:
+            while not node.is_leaf:
+                node = node.left if vec.values[node.feature] <= node.threshold else node.right
+            votes[node.label_index] += 1
+        out.append(model.labels[votes.index(max(votes))])
+    return out
+
+
+@st.composite
+def split_problems(draw):
+    """Small int matrices with heavy ties, some constant columns, 2-4
+    classes and a sorted subset of candidate features."""
+    n = draw(st.integers(2, 30))
+    n_features = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n_features, max_size=n_features)
+    X = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.int64)
+    for f in draw(st.sets(st.integers(0, n_features - 1))):
+        X[:, f] = X[0, f]
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    feature_ids = sorted(draw(st.sets(st.integers(0, n_features - 1), min_size=1)))
+    return X, y, n_classes, feature_ids
 
 
 class TestExtractWindows:
@@ -69,6 +134,10 @@ class TestExtractWindows:
     def test_rejects_bad_arguments(self, window_s, vector_len):
         with pytest.raises(ValueError):
             extract_windows(mk_trace([(0, 130)]), window_s, vector_len)
+
+    def test_rejects_window_below_one_microsecond(self):
+        with pytest.raises(ValueError, match="window_s"):
+            extract_windows(mk_trace([(0, 130)]), 1e-7)
 
 
 class TestSplitDataset:
@@ -183,6 +252,57 @@ class TestTrainForest:
                 accs.append(evaluate(model, clean_test).accuracy)
             scores[tag] = sum(accs) / len(accs)
         assert scores["noisy"] <= scores["clean"] + 0.05
+
+
+class TestForestParameters:
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"max_depth": 0}, "max_depth"),
+            ({"max_depth": -2}, "max_depth"),
+            ({"max_features": "log2"}, "max_features"),
+            ({"max_features": "SQRT"}, "max_features"),
+        ],
+    )
+    def test_rejects_forest_that_does_nothing(self, kwargs, name):
+        train = labeled([((1, 0), "a"), ((2, 0), "b")] * 3)
+        with pytest.raises(ValueError, match=name):
+            train_forest(train, n_trees=3, rng=0, **kwargs)
+
+
+class TestFlatTrees:
+    def test_deep_tree_grows_without_recursion(self):
+        # One feature with alternating labels: every split peels off one row.
+        train = [FeatureVector(values=(i,), label=f"c{i % 2}") for i in range(1500)]
+        model = train_forest(train, n_trees=1, rng=0, bootstrap=False, max_features=None)
+        assert model.predict(train) == [v.label for v in train]
+        nodes = depth = 0
+        todo = [(model.trees[0], 0)]
+        while todo:
+            node, level = todo.pop()
+            nodes += 1
+            depth = max(depth, level)
+            if not node.is_leaf:
+                todo.append((node.left, level + 1))
+                todo.append((node.right, level + 1))
+        assert (nodes, depth) == (2999, 1499)
+
+    @given(split_problems())
+    def test_split_matches_per_feature_loop(self, problem):
+        X, y, n_classes, feature_ids = problem
+        split = _best_split(X[:, feature_ids].T, y, n_classes)
+        got = None if split is None else (feature_ids[split[0]], split[1])
+        assert got == reference_best_split(X, y, n_classes, feature_ids)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_predict_matches_walking_the_trees(self, seed):
+        rng = random.Random(seed)
+        train = random_vectors(rng, 120, 8, k=3)
+        test = random_vectors(rng, 80, 8, k=3)
+        model = train_forest(train, n_trees=30, rng=seed)
+        assert model.n_trees == 30
+        assert model.predict(test) == walk_predict(model, test)
+        assert model.predict(train) == walk_predict(model, train)
 
 
 class TestStumpOracle:

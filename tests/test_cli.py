@@ -90,6 +90,17 @@ class TestTracesimCli:
         covered = [r for r in ingest_trace(out).records if r.covered]
         assert covered
 
+    def test_cover_window_below_one_microsecond_fails_cleanly(self, synth_pair, tmp_path, capsys):
+        out = tmp_path / "cov.jsonl"
+        code = main_tracesim(
+            ["cover", "--target", str(synth_pair["bulb-like"]), "--reference",
+             str(synth_pair["plug-like"]), "--window", "1e-7", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window_s") and "Traceback" not in err
+        assert not out.exists()
+
     def test_synth_from_profile_json(self, tmp_path, capsys):
         profile = {"name": "custom", "mean_rate": 2.0, "incoming": [[130, 1.0]]}
         path = tmp_path / "custom.json"
@@ -136,6 +147,18 @@ class TestAttackevalCli:
         metrics = json.loads(out.read_text())
         assert set(metrics["labels"]) == {"bulb-like", "plug-like"}
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_depth_below_one_fails_cleanly(self, synth_pair, tmp_path, capsys, depth):
+        out = tmp_path / "metrics.json"
+        code = main_attackeval(
+            ["run", "--traces", str(synth_pair["bulb-like"]), str(synth_pair["plug-like"]),
+             "--window", "10", "--max-depth", depth, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_depth") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSegshieldCli:

@@ -199,6 +199,11 @@ class TestExperimentConfig:
             ({"cover": {"enabeld": True}}, "cover.enabeld"),
             ({"segmentation": {"profile": "low-bandwidth", "prb": 0.0}}, "segmentation.prb"),
             ({"devices": [{**CUSTOM_DEVICE, "colour": "red"}, "plug-like"]}, "devices[0].colour"),
+            ({"window_s": 1e-7}, "window_s"),
+            (
+                {"cover": {"enabled": True, "reference": "plug-like", "window_s": 1e-7}},
+                "cover.window_s",
+            ),
         ],
     )
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, change, path):

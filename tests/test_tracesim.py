@@ -359,6 +359,11 @@ class TestCoverTraffic:
         with pytest.raises(ValueError):
             inject_cover_traffic(trace, trace, window_s=0, rng=0)
 
+    def test_window_below_one_microsecond_rejected(self):
+        trace = mk_trace([130])
+        with pytest.raises(ValueError, match="window_s"):
+            inject_cover_traffic(trace, trace, window_s=1e-7, rng=0)
+
     def test_cover_flag_metadata_only(self):
         low = mk_trace([130] * 5, step_us=1_000_000)
         high = mk_trace([400] * 50, step_us=100_000)
