@@ -18,7 +18,6 @@ reference). Prediction routes every (row, tree) pair one level at a time.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from math import isqrt
 from typing import Sequence
@@ -47,6 +46,28 @@ class FeatureVector:
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
 
+def check_attack_parameters(
+    window_s: float = DEFAULT_WINDOW_S,
+    vector_len: int = DEFAULT_VECTOR_LEN,
+    train_fraction: float = DEFAULT_TRAIN_FRACTION,
+    n_trees: int = DEFAULT_N_TREES,
+    max_depth: int | None = None,
+) -> int:
+    """The one check of the attack's parameters, which a caller can also run
+    before it reads any trace. Raise ValueError naming the first bad one;
+    return the window width in microseconds."""
+    width = window_us(window_s)
+    if vector_len <= 0:
+        raise ValueError("vector_len must be positive")
+    if not 0 < train_fraction < 1:
+        raise ValueError("train_fraction must be strictly between 0 and 1")
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
+    if max_depth is not None and max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1 or None, got {max_depth!r}")
+    return width
+
+
 def extract_windows(
     trace: Trace,
     window_s: float = DEFAULT_WINDOW_S,
@@ -54,20 +75,14 @@ def extract_windows(
 ) -> list[FeatureVector]:
     """Cut the trace into fixed windows and emit one vector per non-empty
     window. Cover records are included: the observer cannot strip them."""
-    width = window_us(window_s)
-    if vector_len <= 0:
-        raise ValueError("vector_len must be positive")
-    buckets: dict[int, list[int]] = {}
-    for rec in trace.records:
-        buckets.setdefault(rec.timestamp_us // width, []).append(rec.signed_size)
-    vectors = []
-    for idx in sorted(buckets):
-        sizes = buckets[idx]
-        padded = sizes[:vector_len] + [0] * max(vector_len - len(sizes), 0)
-        vectors.append(
-            FeatureVector(values=tuple(padded), label=trace.device, packet_count=len(sizes))
-        )
-    return vectors
+    width = check_attack_parameters(window_s, vector_len)
+    # Timestamps are sorted, so each window's records are a contiguous run.
+    starts = np.unique(trace.timestamp_us // width, return_index=True)[1].tolist()
+    sizes = trace.signed_size.tolist()
+    return [
+        FeatureVector((sizes[a:b] + [0] * vector_len)[:vector_len], trace.device, b - a)
+        for a, b in zip(starts, [*starts[1:], len(sizes)])
+    ]
 
 
 def split_dataset(
@@ -76,8 +91,7 @@ def split_dataset(
     rng: random.Random | int = 0,
 ) -> tuple[list[FeatureVector], list[FeatureVector]]:
     """Stratified shuffle split; every class lands in both partitions."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must be strictly between 0 and 1")
+    check_attack_parameters(train_fraction=train_fraction)
     rng = make_rng(rng)
     by_label: dict[str, list[FeatureVector]] = {}
     for vec in vectors:
@@ -300,10 +314,7 @@ def train_forest(
     """
     if not train:
         raise ValueError("training set is empty")
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    if max_depth is not None and max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1 or None, got {max_depth!r}")
+    check_attack_parameters(n_trees=n_trees, max_depth=max_depth)
     if isinstance(max_features, str) and max_features != "sqrt":
         raise ValueError(f"max_features must be 'sqrt', an int or None, got {max_features!r}")
     labels = tuple(sorted({v.label for v in train}))

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import attackeval, profiles, shaper, tracesim
-from .attackeval import run_attack
+from .attackeval import check_attack_parameters, run_attack
 from .errors import SegShieldError
 from .profiles import resolve_device, resolve_segmentation
 from .report import run_experiment
@@ -171,8 +171,8 @@ def main_tracesim(argv=None) -> int:
 
     def go():
         if args.command == "obfuscate":
-            trace = ingest_trace(args.infile, header_bytes=args.header_bytes)
             config = _segmentation_flags(args)
+            trace = ingest_trace(args.infile, header_bytes=args.header_bytes)
             out = obfuscate_trace(trace, config, args.time_overhead, args.seed)
             write_trace(out, args.out)
             print(f"{len(trace)} -> {len(out)} records")
@@ -182,6 +182,7 @@ def main_tracesim(argv=None) -> int:
             write_trace(out, args.out)
             print(f"{trace.total_bytes} -> {out.total_bytes} bytes")
         elif args.command == "cover":
+            tracesim.window_us(args.window)  # before any file is read
             target = ingest_trace(args.target, header_bytes=args.header_bytes)
             reference = ingest_trace(args.reference, header_bytes=args.header_bytes)
             result = inject_cover_traffic(target, reference, args.window, args.seed)
@@ -225,16 +226,16 @@ def main_attackeval(argv=None) -> int:
     args = parser.parse_args(argv)
 
     def go():
-        traces = [ingest_trace(p, header_bytes=args.header_bytes) for p in args.traces]
-        metrics = run_attack(
-            traces,
+        parameters = dict(
             window_s=args.window,
             vector_len=args.veclen,
             train_fraction=args.train_fraction,
             n_trees=args.trees,
             max_depth=args.max_depth,
-            seed=args.seed,
         )
+        check_attack_parameters(**parameters)
+        traces = [ingest_trace(p, header_bytes=args.header_bytes) for p in args.traces]
+        metrics = run_attack(traces, seed=args.seed, **parameters)
         _dump_json(metrics.to_dict(), args.out)
 
     return _run(go)

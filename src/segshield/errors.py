@@ -20,6 +20,16 @@ class TraceFormatError(SegShieldError, ValueError):
         self.line = line
 
 
+class TraceRecordError(ValueError):
+    """A trace breaks a rule at record ``index``. Not a SegShieldError: a stage
+    that builds a bad trace has a bug, reported under the stage's name."""
+
+    def __init__(self, reason: str, index: int):
+        super().__init__(f"record {index}: {reason}")
+        self.reason = reason
+        self.index = index
+
+
 class TransportError(SegShieldError, OSError):
     """A socket operation failed mid-transfer.
 

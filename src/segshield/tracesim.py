@@ -1,9 +1,9 @@
 """Offline defense simulator over labeled packet traces.
 
-A trace is a time-ordered list of signed frame sizes (positive = incoming,
-negative = outgoing) for one device. The simulator replays the defense on
-each frame's payload, applies the random-padding baseline, and injects
-flagged cover traffic to equalize data rates between devices.
+A trace holds one device's time-ordered signed frame sizes (positive =
+incoming, negative = outgoing) as numpy columns. The simulator replays the
+defense on each frame's payload, applies the random-padding baseline, and
+injects flagged cover traffic to equalize data rates between devices.
 """
 
 from __future__ import annotations
@@ -12,11 +12,14 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
 
-from .errors import ConfigurationError, TraceFormatError
+import numpy as np
+
+from .errors import ConfigurationError, TraceFormatError, TraceRecordError
 from .rng import make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, pad_packet_random, segment_lengths
 
@@ -40,19 +43,12 @@ def window_us(window_s: float) -> int:
 
 @dataclass(frozen=True)
 class PacketRecord:
-    """One observed packet: when, how big, which way, and whether it is a
-    flagged cover packet the receiver will discard."""
+    """One packet, as ``Trace.records`` lists it: when, how big, which way,
+    and whether it is a flagged cover packet the receiver will discard."""
 
     timestamp_us: int
     signed_size: int
     covered: bool = False
-    device: str = ""
-
-    def __post_init__(self):
-        if self.signed_size == 0:
-            raise ValueError("signed_size must be nonzero")
-        if self.timestamp_us < 0:
-            raise ValueError("timestamp_us must be >= 0")
 
     @property
     def size(self) -> int:
@@ -63,44 +59,78 @@ class PacketRecord:
         return self.signed_size < 0
 
 
-@dataclass(frozen=True)
+_COLUMN_TYPES = {"timestamp_us": np.int64, "signed_size": np.int64, "covered": np.bool_}
+
+
+@dataclass(frozen=True, eq=False)
 class Trace:
-    records: tuple[PacketRecord, ...]
+    """One device's packets in time order, as read-only columns of equal
+    length: ``timestamp_us`` (int64), ``signed_size`` (int64, negative is
+    outgoing) and ``covered`` (bool). Every trace rule is checked here,
+    whichever code built the trace: no size is zero, no timestamp is
+    negative, timestamps never decrease. A broken rule raises
+    TraceRecordError naming the first bad record."""
+
+    timestamp_us: np.ndarray
+    signed_size: np.ndarray
+    covered: np.ndarray
     device: str
     header_bytes: int = DEFAULT_HEADER_BYTES
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        for name, dtype in _COLUMN_TYPES.items():
+            column = np.array(getattr(self, name))
+            if column.size and not np.can_cast(column.dtype, dtype, "same_kind"):
+                raise TypeError(f"{name} must hold {np.dtype(dtype)} values, got {column.dtype}")
+            column = column.astype(dtype, copy=False)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if self.header_bytes < 0:
             raise ValueError("header_bytes must be >= 0")
-        prev = -1
-        for i, rec in enumerate(self.records):
-            if rec.device != self.device:
-                raise ValueError(
-                    f"record {i} is labeled {rec.device!r}, trace is {self.device!r}"
-                )
-            if rec.timestamp_us < prev:
-                raise ValueError(f"record {i} breaks timestamp ordering")
-            prev = rec.timestamp_us
+        lengths = {name: len(getattr(self, name)) for name in _COLUMN_TYPES}
+        if len(set(lengths.values())) > 1:
+            raise TraceRecordError(f"columns differ in length {lengths}", min(lengths.values()))
+        ts, size = self.timestamp_us, self.signed_size
+        broken = (size == 0) | (ts < 0)
+        broken[1:] |= ts[1:] < ts[:-1]
+        if broken.any():
+            i = int(broken.argmax())
+            raise TraceRecordError(
+                "signed_size must be nonzero" if size[i] == 0
+                else f"timestamp_us {ts[i]} is negative" if ts[i] < 0
+                else f"timestamp_us {ts[i]} is before the previous {ts[i - 1]}",
+                i,
+            )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.timestamp_us)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.device, self.header_bytes) == (other.device, other.header_bytes) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMN_TYPES
+        )
+
+    @property
+    def records(self) -> tuple[PacketRecord, ...]:
+        return tuple(map(PacketRecord, *(getattr(self, name).tolist() for name in _COLUMN_TYPES)))
 
     @property
     def total_bytes(self) -> int:
-        return sum(r.size for r in self.records)
+        return int(np.abs(self.signed_size).sum())
 
     @property
     def payload_bytes(self) -> int:
-        return sum(max(r.size - self.header_bytes, 0) for r in self.records)
+        return int(np.maximum(np.abs(self.signed_size) - self.header_bytes, 0).sum())
 
     @property
     def duration_us(self) -> int:
-        return self.records[-1].timestamp_us if self.records else 0
+        return int(self.timestamp_us[-1]) if len(self) else 0
 
     def without_cover(self) -> "Trace":
-        kept = tuple(r for r in self.records if not r.covered)
-        return Trace(kept, self.device, self.header_bytes)
+        kept = ~self.covered
+        return replace(self, **{name: getattr(self, name)[kept] for name in _COLUMN_TYPES})
 
 
 @dataclass(frozen=True)
@@ -173,100 +203,95 @@ def load_profile(path: str | Path) -> DeviceProfile:
 # trace I/O
 
 
-_COLUMNS = ("timestamp_us", "signed_size", "covered", "device")
+_COLUMNS = (*_COLUMN_TYPES, "device")
 
 
 def write_trace(trace: Trace, path: str | Path, format: str = "jsonl") -> None:
-    path = Path(path)
+    rows = zip(trace.timestamp_us.tolist(), trace.signed_size.tolist(), trace.covered.tolist())
     if format == "jsonl":
+        # The same bytes as json.dumps(record, sort_keys=True) for each record.
+        device = json.dumps(trace.device)
         with open(path, "w") as fh:
-            for r in trace.records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "timestamp_us": r.timestamp_us,
-                            "signed_size": r.signed_size,
-                            "covered": r.covered,
-                            "device": r.device,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            fh.writelines(
+                f'{{"covered": {"true" if covered else "false"}, "device": {device}, '
+                f'"signed_size": {size}, "timestamp_us": {ts}}}\n'
+                for ts, size, covered in rows
+            )
     elif format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_COLUMNS)
-            for r in trace.records:
-                writer.writerow([r.timestamp_us, r.signed_size, int(r.covered), r.device])
+            writer.writerows((ts, size, int(covered), trace.device) for ts, size, covered in rows)
     else:
         raise TraceFormatError(f"unknown trace format {format!r}")
 
 
+def _parse_integer(value, key: str) -> int:
+    """A whole number in int64 range; a bool or a fractional float is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    number = int(value)
+    if not -(2**63) <= number < 2**63:
+        raise ValueError(f"{key} {number} does not fit in 64 bits")
+    return number
+
+
 def _parse_covered(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int) and value in (0, 1):
-        return bool(value)
-    if isinstance(value, str) and value.lower() in ("0", "1", "true", "false"):
-        return value.lower() in ("1", "true")
-    raise ValueError(f"bad covered flag {value!r}")
+    """A JSON bool, 0 or 1, or one of the strings 0, 1, true, false (any case)."""
+    text = str(value).lower()
+    if text not in ("0", "1", "true", "false"):
+        raise ValueError(f"bad covered flag {value!r}")
+    return text in ("1", "true")
+
+
+def _read_rows(fh, format: str):
+    """(line number, row) for each record of an open jsonl or csv file."""
+    if format == "csv":
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != _COLUMNS:
+            raise TraceFormatError(f"csv header must be {','.join(_COLUMNS)}", line=1)
+        yield from enumerate(reader, start=2)
+        return
+    for lineno, line in enumerate(fh, start=1):
+        if line.strip():
+            try:
+                yield lineno, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"invalid JSON: {exc}", line=lineno) from exc
 
 
 def ingest_trace(
     path: str | Path, format: str | None = None, header_bytes: int = DEFAULT_HEADER_BYTES
 ) -> Trace:
-    """Load and validate one device's trace from a jsonl or csv file."""
+    """Load and validate one device's trace from a jsonl or csv file. Errors
+    name the line of the first bad record."""
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format not in ("jsonl", "csv"):
         raise TraceFormatError(f"unknown trace format {format!r}")
 
-    rows: list[tuple[int, dict]] = []
-    if format == "jsonl":
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rows.append((lineno, json.loads(line)))
-                except json.JSONDecodeError as exc:
-                    raise TraceFormatError(f"invalid JSON: {exc}", line=lineno) from exc
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != _COLUMNS:
-                raise TraceFormatError(
-                    f"csv header must be {','.join(_COLUMNS)}", line=1
-                )
-            for lineno, row in enumerate(reader, start=2):
-                rows.append((lineno, row))
-
-    records: list[PacketRecord] = []
-    for lineno, row in rows:
-        try:
-            record = PacketRecord(
-                timestamp_us=int(row["timestamp_us"]),
-                signed_size=int(row["signed_size"]),
-                covered=_parse_covered(row.get("covered", False)),
-                device=str(row["device"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(str(exc), line=lineno) from exc
-        if records and record.timestamp_us < records[-1].timestamp_us:
-            raise TraceFormatError(
-                f"timestamp {record.timestamp_us} breaks ordering", line=lineno
-            )
-        if records and record.device != records[0].device:
-            raise TraceFormatError(
-                f"device {record.device!r} differs from {records[0].device!r}", line=lineno
-            )
-        records.append(record)
-
-    if not records:
+    lines, timestamps, sizes, covered = [], [], [], []
+    device = None
+    with open(path, newline="") as fh:
+        for lineno, row in _read_rows(fh, format):
+            try:
+                timestamps.append(_parse_integer(row["timestamp_us"], "timestamp_us"))
+                sizes.append(_parse_integer(row["signed_size"], "signed_size"))
+                covered.append(_parse_covered(row.get("covered", False)))
+                label = str(row["device"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceFormatError(str(exc), line=lineno) from exc
+            if lines and label != device:
+                raise TraceFormatError(f"device {label!r} differs from {device!r}", line=lineno)
+            device = label
+            lines.append(lineno)
+    if not lines:
         raise TraceFormatError(f"{path} holds no records")
-    return Trace(tuple(records), records[0].device, header_bytes)
+    try:
+        return Trace(timestamps, sizes, covered, device, header_bytes)
+    except TraceRecordError as exc:
+        raise TraceFormatError(exc.reason, line=lines[exc.index]) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +318,11 @@ def synthesize_trace(
     in_weights = [w for _, w in profile.incoming]
     out_sizes = [l for l, _ in profile.outgoing]
     out_weights = [w for _, w in profile.outgoing]
-    w_in = sum(in_weights)
-    w_out = sum(out_weights)
-    p_out = w_out / (w_in + w_out)
+    p_out = sum(out_weights) / (sum(in_weights) + sum(out_weights))
 
     peak = profile.mean_rate * max([1.0, *(m for _, _, m in profile.mode_schedule)])
-    records: list[PacketRecord] = []
+    timestamps: list[int] = []
+    sizes: list[int] = []
     t = 0.0
     while True:
         t += rng.expovariate(peak)
@@ -307,22 +331,18 @@ def synthesize_trace(
         if rng.random() * peak > profile.rate_at(t):
             continue
         if rng.random() < p_out:
-            size = -rng.choices(out_sizes, out_weights)[0]
+            sizes.append(-rng.choices(out_sizes, out_weights)[0])
         else:
-            size = rng.choices(in_sizes, in_weights)[0]
-        records.append(
-            PacketRecord(
-                timestamp_us=round(t * 1e6),
-                signed_size=size,
-                covered=False,
-                device=profile.name,
-            )
-        )
-    return Trace(tuple(records), profile.name, header_bytes)
+            sizes.append(rng.choices(in_sizes, in_weights)[0])
+        timestamps.append(round(t * 1e6))
+    return Trace(timestamps, sizes, np.zeros(len(sizes), bool), profile.name, header_bytes)
 
 
 # ---------------------------------------------------------------------------
 # defenses
+#
+# Loops that draw random numbers keep their order of draws, so a seed gives
+# the same trace bytes; the rest works on whole columns.
 
 
 def obfuscate_trace(
@@ -341,52 +361,31 @@ def obfuscate_trace(
         raise ValueError("time_overhead must be >= 0")
     rng = make_rng(config.seed if rng is None else rng)
     header = trace.header_bytes
-    if trace.records:
-        smallest = min(r.size for r in trace.records)
-        if header >= smallest:
-            raise ConfigurationError(
-                f"header_bytes {header} leaves no payload in {smallest}-byte frames"
-            )
-    scale = 1.0 + time_overhead
-    out: list[PacketRecord] = []
-    for r in trace.records:
-        payload = max(r.size - header, 1)
-        plan = segment_lengths(payload, config, rng)
-        ts = round(r.timestamp_us * scale)
-        sign = -1 if r.outgoing else 1
-        for chunk in plan.lengths:
-            out.append(
-                PacketRecord(
-                    timestamp_us=ts,
-                    signed_size=sign * (chunk + header),
-                    covered=r.covered,
-                    device=r.device,
-                )
-            )
-    return Trace(tuple(out), trace.device, header)
+    sizes = np.abs(trace.signed_size)
+    if len(trace) and header >= sizes.min():
+        raise ConfigurationError(
+            f"header_bytes {header} leaves no payload in {sizes.min()}-byte frames"
+        )
+    plans = [segment_lengths(payload, config, rng).lengths for payload in (sizes - header).tolist()]
+    counts = [len(lengths) for lengths in plans]
+    chunks = np.fromiter(chain.from_iterable(plans), np.int64, sum(counts))
+    # np.rint rounds half to even, as round() does on the same float product.
+    scaled = np.rint(trace.timestamp_us * (1.0 + time_overhead)).astype(np.int64)
+    signed = np.repeat(np.sign(trace.signed_size), counts) * (chunks + header)
+    covered = np.repeat(trace.covered, counts)
+    return Trace(np.repeat(scaled, counts), signed, covered, trace.device, header)
 
 
 def pad_trace(trace: Trace, mtu_frame: int, rng: random.Random | int) -> Trace:
     """Random-padding baseline: every frame grows to a uniform size up to
     the frame ceiling; packet count and timing stay unchanged."""
     rng = make_rng(rng)
-    out: list[PacketRecord] = []
-    for i, r in enumerate(trace.records):
-        if r.size > mtu_frame:
-            raise ValueError(
-                f"record {i} is {r.size} bytes, above the {mtu_frame}-byte ceiling"
-            )
-        padded = pad_packet_random(r.size, mtu_frame, rng)
-        sign = -1 if r.outgoing else 1
-        out.append(
-            PacketRecord(
-                timestamp_us=r.timestamp_us,
-                signed_size=sign * padded,
-                covered=r.covered,
-                device=r.device,
-            )
-        )
-    return Trace(tuple(out), trace.device, trace.header_bytes)
+    sizes = np.abs(trace.signed_size)
+    if (sizes > mtu_frame).any():
+        i = int((sizes > mtu_frame).argmax())
+        raise ValueError(f"record {i} is {sizes[i]} bytes, above the {mtu_frame}-byte ceiling")
+    padded = [pad_packet_random(size, mtu_frame, rng) for size in sizes.tolist()]
+    return replace(trace, signed_size=np.sign(trace.signed_size) * np.array(padded, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -405,6 +404,13 @@ class CoverResult:
         return self.cover_bytes / self.original_bytes
 
 
+def _window_volumes(trace: Trace, width_us: int) -> dict[int, int]:
+    """Byte volume of each non-empty window, by window number, in time order."""
+    windows, starts = np.unique(trace.timestamp_us // width_us, return_index=True)
+    volumes = np.add.reduceat(np.abs(trace.signed_size), starts)
+    return dict(zip(windows.tolist(), volumes.tolist()))
+
+
 def inject_cover_traffic(
     target: Trace,
     reference: Trace,
@@ -419,42 +425,29 @@ def inject_cover_traffic(
     """
     width = window_us(window_s)
     rng = make_rng(rng)
+    target_volumes = _window_volumes(target, width)
+    pool = target.signed_size.tolist()
 
-    def volumes(trace: Trace) -> dict[int, int]:
-        vols: dict[int, int] = {}
-        for r in trace.records:
-            idx = r.timestamp_us // width
-            vols[idx] = vols.get(idx, 0) + r.size
-        return vols
-
-    target_vols = volumes(target)
-    reference_vols = volumes(reference)
-    pool = [(r.size, -1 if r.outgoing else 1) for r in target.records]
-
-    cover: list[PacketRecord] = []
-    cover_bytes = 0
-    for idx in sorted(reference_vols):
-        deficit = reference_vols[idx] - target_vols.get(idx, 0)
-        if deficit <= 0:
-            continue
-        if not pool:
+    cover_ts = array("q")  # 8 bytes an entry; a cover trace can hold millions
+    cover_sizes = array("q")
+    for idx, volume in _window_volumes(reference, width).items():
+        deficit = volume - target_volumes.get(idx, 0)
+        if deficit > 0 and not pool:
             raise ConfigurationError("target trace is empty; no size distribution for cover")
         while deficit > 0:
-            size, sign = pool[rng.randrange(len(pool))]
-            ts = idx * width + rng.randrange(width)
-            cover.append(
-                PacketRecord(
-                    timestamp_us=ts,
-                    signed_size=sign * size,
-                    covered=True,
-                    device=target.device,
-                )
-            )
-            cover_bytes += size
-            deficit -= size
+            cover_sizes.append(pool[rng.randrange(len(pool))])
+            cover_ts.append(idx * width + rng.randrange(width))
+            deficit -= abs(cover_sizes[-1])
 
-    # Stable sort keeps original records ahead of cover at equal timestamps,
-    # so stripping the flag restores the input byte-for-byte.
-    merged = sorted([*target.records, *cover], key=lambda r: r.timestamp_us)
-    injected = Trace(tuple(merged), target.device, target.header_bytes)
+    # A stable sort keeps original records ahead of cover at equal
+    # timestamps, so stripping the flag restores the input byte-for-byte.
+    timestamps = np.concatenate([target.timestamp_us, np.frombuffer(cover_ts, np.int64)])
+    order = np.argsort(timestamps, kind="stable")
+    cover = np.frombuffer(cover_sizes, np.int64)
+    sizes = np.concatenate([target.signed_size, cover])
+    covered = np.concatenate([target.covered, np.ones(len(cover), bool)])
+    injected = Trace(
+        timestamps[order], sizes[order], covered[order], target.device, target.header_bytes
+    )
+    cover_bytes = int(np.abs(cover).sum())
     return CoverResult(trace=injected, cover_bytes=cover_bytes, original_bytes=target.total_bytes)

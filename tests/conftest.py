@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from segshield.attackeval import FeatureVector
 from segshield.segcore import LevelBand, SegmentationConfig
+from segshield.tracesim import Trace
 
 settings.register_profile(
     "default",
@@ -91,3 +93,15 @@ def random_vectors(rng: random.Random, n: int, n_features: int, k: int = 2):
         out[0] = FeatureVector(values=out[0].values, label=labels[0])
         out[1] = FeatureVector(values=out[1].values, label=labels[1])
     return out
+
+
+@st.composite
+def small_traces(draw, min_size=0, device="dev"):
+    """Short traces with runs of equal timestamps, both directions and some
+    cover records."""
+    n = draw(st.integers(min_size, 40))
+    gap = st.sampled_from([0, 0, 1, 999, 400_000, 3_000_000])
+    gaps = draw(st.lists(gap, min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(-1500, 1500).filter(bool), min_size=n, max_size=n))
+    covered = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Trace(np.cumsum(gaps, dtype=np.int64), sizes, covered, device)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_force_stump, random_vectors
+from conftest import brute_force_stump, random_vectors, small_traces
 from segshield.attackeval import (
     FeatureVector,
     _best_split,
@@ -16,14 +16,29 @@ from segshield.attackeval import (
     split_dataset,
     train_forest,
 )
-from segshield.tracesim import PacketRecord, Trace
+from segshield.tracesim import Trace, window_us
 
 
 def mk_trace(entries, device="dev"):
-    records = tuple(
-        PacketRecord(timestamp_us=ts, signed_size=s, device=device) for ts, s in entries
-    )
-    return Trace(records, device)
+    timestamps = [ts for ts, _ in entries]
+    sizes = [s for _, s in entries]
+    return Trace(timestamps, sizes, np.zeros(len(entries), bool), device)
+
+
+def bucket_windows(trace, window_s, vector_len):
+    """The per-record bucket loop the column cut replaced."""
+    width = window_us(window_s)
+    buckets = {}
+    for rec in trace.records:
+        buckets.setdefault(rec.timestamp_us // width, []).append(rec.signed_size)
+    vectors = []
+    for idx in sorted(buckets):
+        sizes = buckets[idx]
+        padded = sizes[:vector_len] + [0] * max(vector_len - len(sizes), 0)
+        vectors.append(
+            FeatureVector(values=tuple(padded), label=trace.device, packet_count=len(sizes))
+        )
+    return vectors
 
 
 def labeled(values_label_pairs):
@@ -123,12 +138,19 @@ class TestExtractWindows:
         assert sum(v.packet_count for v in vectors) == len(trace)
 
     def test_cover_records_included(self):
-        records = (
-            PacketRecord(0, 130, device="d"),
-            PacketRecord(1, 130, covered=True, device="d"),
-        )
-        (vec,) = extract_windows(Trace(records, "d"), window_s=30, vector_len=4)
+        trace = Trace([0, 1], [130, 130], [False, True], "d")
+        (vec,) = extract_windows(trace, window_s=30, vector_len=4)
         assert vec.packet_count == 2
+
+    @given(
+        trace=small_traces(),
+        window_s=st.sampled_from([1e-6, 0.5, 1.0, 2.5, 30.0]),
+        vector_len=st.integers(1, 6),
+    )
+    def test_matches_bucket_loop(self, trace, window_s, vector_len):
+        assert extract_windows(trace, window_s, vector_len) == bucket_windows(
+            trace, window_s, vector_len
+        )
 
     @pytest.mark.parametrize("window_s,vector_len", [(0, 4), (-1, 4), (30, 0)])
     def test_rejects_bad_arguments(self, window_s, vector_len):

@@ -122,6 +122,31 @@ class TestTracesimCli:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "main,args,name",
+    [
+        (main_attackeval, ["--window", "0"], "window_s"),
+        (main_attackeval, ["--window", "1e-7"], "window_s"),
+        (main_attackeval, ["--veclen", "0"], "vector_len"),
+        (main_attackeval, ["--train-fraction", "1.5"], "train_fraction"),
+        (main_attackeval, ["--trees", "0"], "n_trees"),
+        (main_attackeval, ["--max-depth", "0"], "max_depth"),
+        (main_tracesim, ["--window", "0"], "window_s"),
+    ],
+)
+def test_bad_flag_reported_before_missing_files(tmp_path, capsys, main, args, name):
+    missing = [str(tmp_path / "nonexistent_a.jsonl"), str(tmp_path / "nonexistent_b.jsonl")]
+    if main is main_attackeval:
+        argv = ["run", "--traces", *missing, *args]
+    else:
+        argv = ["cover", "--target", missing[0], "--reference", missing[1], *args,
+                "--out", str(tmp_path / "cov.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}") and "Traceback" not in err
+    assert "nonexistent" not in err
+
+
 class TestAttackevalCli:
     def test_run_writes_metrics(self, synth_pair, tmp_path):
         out = tmp_path / "metrics.json"

@@ -3,15 +3,18 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from segshield.errors import ConfigurationError, TraceFormatError
+from conftest import small_traces
+from segshield.errors import ConfigurationError, TraceFormatError, TraceRecordError
 from segshield.segcore import LevelBand, SegmentationConfig
 from segshield.tracesim import (
     DeviceProfile,
     PacketRecord,
     Trace,
+    _window_volumes,
     ingest_trace,
     inject_cover_traffic,
     load_profile,
@@ -23,11 +26,36 @@ from segshield.tracesim import (
 
 
 def mk_trace(sizes, device="dev", step_us=1000, header_bytes=82):
-    records = tuple(
-        PacketRecord(timestamp_us=i * step_us, signed_size=s, device=device)
-        for i, s in enumerate(sizes)
-    )
-    return Trace(records, device, header_bytes)
+    n = len(sizes)
+    return Trace(np.arange(n) * step_us, sizes, np.zeros(n, bool), device, header_bytes)
+
+
+def bucket_volumes(trace, width):
+    """The per-record bucket loop the column sums replaced."""
+    vols = {}
+    for r in trace.records:
+        idx = r.timestamp_us // width
+        vols[idx] = vols.get(idx, 0) + r.size
+    return vols
+
+
+def bucket_cover(target, reference, width, rng):
+    """Cover injection as a per-record loop: (merged records, cover bytes)."""
+    target_vols = bucket_volumes(target, width)
+    reference_vols = bucket_volumes(reference, width)
+    pool = [(r.size, -1 if r.outgoing else 1) for r in target.records]
+    cover = []
+    cover_bytes = 0
+    for idx in sorted(reference_vols):
+        deficit = reference_vols[idx] - target_vols.get(idx, 0)
+        while deficit > 0:
+            size, sign = pool[rng.randrange(len(pool))]
+            ts = idx * width + rng.randrange(width)
+            cover.append(PacketRecord(ts, sign * size, covered=True))
+            cover_bytes += size
+            deficit -= size
+    merged = sorted([*target.records, *cover], key=lambda r: r.timestamp_us)
+    return tuple(merged), cover_bytes
 
 
 FLAT_PROFILE = DeviceProfile(
@@ -37,12 +65,12 @@ FLAT_PROFILE = DeviceProfile(
 
 class TestRecordAndTrace:
     def test_zero_size_rejected(self):
-        with pytest.raises(ValueError):
-            PacketRecord(timestamp_us=0, signed_size=0)
+        with pytest.raises(ValueError, match="record 1: signed_size"):
+            Trace([0, 5], [60, 0], [False, False], "d")
 
     def test_negative_timestamp_rejected(self):
-        with pytest.raises(ValueError):
-            PacketRecord(timestamp_us=-1, signed_size=100)
+        with pytest.raises(ValueError, match="record 0: timestamp_us -1"):
+            Trace([-1], [100], [False], "d")
 
     def test_direction_from_sign(self):
         assert PacketRecord(0, -70).outgoing is True
@@ -50,13 +78,53 @@ class TestRecordAndTrace:
         assert PacketRecord(0, -70).size == 70
 
     def test_trace_rejects_unsorted(self):
-        records = (PacketRecord(100, 60, device="d"), PacketRecord(50, 60, device="d"))
-        with pytest.raises(ValueError):
-            Trace(records, "d")
+        with pytest.raises(ValueError, match="record 1: timestamp_us 50"):
+            Trace([100, 50], [60, 60], [False, False], "d")
 
-    def test_trace_rejects_foreign_device(self):
+    @pytest.mark.parametrize(
+        "columns,index",
+        [
+            (([0, 1, 2], [60, 60, 60], [False, False]), 2),
+            (([0, 1], [60], [False, False]), 1),
+            (([], [60], []), 0),
+        ],
+    )
+    def test_trace_rejects_column_lengths_that_differ(self, columns, index):
+        with pytest.raises(TraceRecordError, match="differ in length") as err:
+            Trace(*columns, "d")
+        assert err.value.index == index
+
+    def test_first_bad_record_is_named(self):
+        # Record 2 breaks ordering before record 3 breaks the size rule.
+        with pytest.raises(TraceRecordError) as err:
+            Trace([0, 10, 5, 20], [60, 60, 60, 0], [False] * 4, "d")
+        assert err.value.index == 2
+        assert str(err.value) == "record 2: timestamp_us 5 is before the previous 10"
+
+    @pytest.mark.parametrize(
+        "columns",
+        [([0.5], [60], [False]), ([0], [60.0], [False]), ([0], [60], [1])],
+    )
+    def test_columns_must_hold_their_type(self, columns):
+        with pytest.raises(TypeError):
+            Trace(*columns, "d")
+
+    def test_columns_are_read_only_copies(self):
+        sizes = np.array([60, -70])
+        trace = Trace([0, 1], sizes, [False, True], "d")
+        sizes[0] = 0
+        assert trace.signed_size.tolist() == [60, -70]
         with pytest.raises(ValueError):
-            Trace((PacketRecord(0, 60, device="other"),), "d")
+            trace.signed_size[0] = 0
+
+    def test_records_view_and_equality(self):
+        trace = Trace([0, 7], [60, -70], [False, True], "d", 54)
+        assert trace.records == (PacketRecord(0, 60), PacketRecord(7, -70, covered=True))
+        assert trace == Trace([0, 7], [60, -70], [False, True], "d", 54)
+        assert trace != Trace([0, 7], [60, -70], [False, False], "d", 54)
+        assert trace != Trace([0, 7], [60, -70], [False, True], "e", 54)
+        assert trace != Trace([0, 7], [60, -70], [False, True], "d", 82)
+        assert trace.without_cover() == Trace([0], [60], [False], "d", 54)
 
     def test_byte_accounting(self):
         trace = mk_trace([130, -116])
@@ -105,6 +173,42 @@ class TestTraceIO:
             ingest_trace(path)
         assert err.value.line == 2
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("timestamp_us", 1.9),
+            ("signed_size", 60.7),
+            ("timestamp_us", True),
+            ("signed_size", True),
+            ("timestamp_us", float("nan")),
+            ("signed_size", 2**64),
+        ],
+    )
+    def test_non_integer_numbers_rejected(self, tmp_path, key, value):
+        path = tmp_path / "t.jsonl"
+        rows = [
+            {"timestamp_us": 0, "signed_size": 60, "covered": False, "device": "d"},
+            {"timestamp_us": 10, "signed_size": 60, "covered": False, "device": "d", key: value},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(TraceFormatError, match=f"line 2: {key}") as err:
+            ingest_trace(path)
+        assert err.value.line == 2
+
+    def test_whole_float_reads_as_integer(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"timestamp_us": 10.0, "signed_size": -60.0, "device": "d"}\n')
+        assert ingest_trace(path).records == (PacketRecord(10, -60),)
+
+    def test_rule_error_names_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        row = '{{"timestamp_us": {}, "signed_size": 60, "device": "d"}}\n'
+        path.write_text(row.format(5) + "\n\n" + row.format(9) + row.format(7))
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert err.value.line == 5
+        assert str(err.value) == "line 5: timestamp_us 7 is before the previous 9"
 
     def test_unsorted_timestamps_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -363,6 +467,21 @@ class TestCoverTraffic:
         trace = mk_trace([130])
         with pytest.raises(ValueError, match="window_s"):
             inject_cover_traffic(trace, trace, window_s=1e-7, rng=0)
+
+    @given(
+        target=small_traces(min_size=1),
+        reference=small_traces(device="ref"),
+        width=st.sampled_from([1, 1000, 500_000, 2_000_000, 30_000_000]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_bucket_loop(self, target, reference, width, seed):
+        for trace in (target, reference):
+            assert _window_volumes(trace, width) == bucket_volumes(trace, width)
+        result = inject_cover_traffic(target, reference, width / 1e6, rng=seed)
+        records, cover_bytes = bucket_cover(target, reference, width, random.Random(seed))
+        assert result.trace.records == records
+        assert result.cover_bytes == cover_bytes
+        assert result.trace.device == target.device
 
     def test_cover_flag_metadata_only(self):
         low = mk_trace([130] * 5, step_us=1_000_000)
