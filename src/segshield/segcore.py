@@ -168,8 +168,16 @@ def segment_lengths(n: int, config: SegmentationConfig, rng: random.Random) -> S
         return SegmentPlan((n,), segmented=False)
     lengths: list[int] = []
     start = 0
+    # rng.randint(min_seg, max_seg) as CPython draws it: getrandbits(k)
+    # until the value is below the span. Inlined, it costs no Python frame.
+    span = band.max_seg - band.min_seg + 1
+    k = span.bit_length()
+    getrandbits = rng.getrandbits
     while start < n:
-        rand_len = rng.randint(band.min_seg, band.max_seg)
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        rand_len = band.min_seg + r
         index = n if start + rand_len >= n else start + rand_len
         lengths.append(index - start)
         start = index

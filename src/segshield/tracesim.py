@@ -9,10 +9,12 @@ injects flagged cover traffic to equalize data rates between devices.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, TraceFormatError, TraceRecordError
-from .rng import make_rng
+from .rng import RawWords, below_draws, make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, pad_packet_random, segment_lengths
 
 DEFAULT_HEADER_BYTES = 82  # MAC-level frame header; IP-level accounting uses 54
@@ -206,24 +208,44 @@ def load_profile(path: str | Path) -> DeviceProfile:
 _COLUMNS = (*_COLUMN_TYPES, "device")
 
 
+_WRITE_ROWS = 1 << 12  # rows formatted at a time, to bound the memory a write takes
+
+
 def write_trace(trace: Trace, path: str | Path, format: str = "jsonl") -> None:
-    rows = zip(trace.timestamp_us.tolist(), trace.signed_size.tolist(), trace.covered.tolist())
+    # A line is the timestamp plus a text fixed by (signed_size, covered);
+    # a trace has few distinct sizes, so each text is formatted once per slice.
     if format == "jsonl":
         # The same bytes as json.dumps(record, sort_keys=True) for each record.
         device = json.dumps(trace.device)
-        with open(path, "w") as fh:
-            fh.writelines(
-                f'{{"covered": {"true" if covered else "false"}, "device": {device}, '
-                f'"signed_size": {size}, "timestamp_us": {ts}}}\n'
-                for ts, size, covered in rows
-            )
+        header, newline, line = "", None, "%s%d}\n"
+
+        def text(size, covered):
+            flag = "true" if covered else "false"
+            return f'{{"covered": {flag}, "device": {device}, "signed_size": {size}, "timestamp_us": '
+
     elif format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_COLUMNS)
-            writer.writerows((ts, size, int(covered), trace.device) for ts, size, covered in rows)
+        # The same bytes as csv.writer: its quoting of the device, its \r\n.
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([_COLUMNS, (0, trace.device)])
+        header, row = buffer.getvalue().split("\r\n", 1)
+        device = row.removeprefix("0,")  # with the line end
+        header, newline, line = header + "\r\n", "", "%d,%s"
+
+        def text(size, covered):
+            return f"{size},{int(covered)},{device}"
+
     else:
         raise TraceFormatError(f"unknown trace format {format!r}")
+    with open(path, "w", newline=newline) as fh:
+        fh.write(header)
+        for start in range(0, len(trace), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            sizes, size_index = np.unique(trace.signed_size[rows], return_inverse=True)
+            texts = np.array([text(size, c) for size in sizes.tolist() for c in (False, True)], object)
+            kinds = texts[2 * size_index + trace.covered[rows]].tolist()
+            timestamps = trace.timestamp_us[rows].tolist()
+            pairs = zip(kinds, timestamps) if format == "jsonl" else zip(timestamps, kinds)
+            fh.write(line * len(timestamps) % tuple(chain.from_iterable(pairs)))
 
 
 def _parse_integer(value, key: str) -> int:
@@ -411,6 +433,81 @@ def _window_volumes(trace: Trace, width_us: int) -> dict[int, int]:
     return dict(zip(windows.tolist(), volumes.tolist()))
 
 
+# Words of raw generator output replayed at a time: about 1 MB of arrays per
+# block, whatever the size of the cover trace. Larger blocks were no faster.
+_COVER_BLOCK_WORDS = 1 << 14
+
+
+def _alternate(pick_ok, offset_ok):
+    """Where a loop that alternates one-word pick and offset draws, each
+    repeated until accepted, takes each, from the start of a block.
+
+    Before each word the loop waits for a pick (0) or an offset (1). A word
+    both draws accept flips the wait; a word only one accepts sets it (to 1
+    if the pick accepts it); a word neither accepts keeps it. So the wait
+    after word j is the value set last, flipped once per flip since.
+    """
+    # int32 counts: numpy accumulates them about three times faster than int64.
+    sets = pick_ok != offset_ok
+    flips = np.cumsum(pick_ok & offset_ok, dtype=np.int32)
+    set_at = np.flatnonzero(sets)
+    after_set = np.concatenate([[0], pick_ok[set_at] - flips[set_at]])
+    waits = np.concatenate([[0], (after_set[np.cumsum(sets, dtype=np.int32)] + flips)[:-1] & 1])
+    offsets = np.flatnonzero(offset_ok & (waits == 1))
+    return np.flatnonzero(pick_ok & (waits == 0))[: len(offsets)], offsets
+
+
+def _next_accepted(accepted, width: int, end: int):
+    """For each word position j in [0, end], the first accepted attempt at
+    j, j + width, j + 2 * width, ...; ``end`` where there is none."""
+    first = np.full(end + 1, end)
+    first[: len(accepted)] = np.where(accepted, np.arange(len(accepted)), end)
+    for r in range(width):
+        first[r::width] = np.minimum.accumulate(first[r::width][::-1])[::-1]
+    return first
+
+
+def _follow_records(pick_ok, pick_width: int, offset_ok, offset_width: int, size: int):
+    """``_alternate`` for draws of any width: follows the records by pointer
+    doubling, log2(records) rounds over the block."""
+    end = size + 1  # "no whole record left in the block"
+    pick_at = _next_accepted(pick_ok, pick_width, end)
+    offset_at = _next_accepted(offset_ok, offset_width, end)[
+        np.minimum(pick_at + pick_width, end)
+    ]
+    record_end = np.where(offset_at < end, offset_at + offset_width, end)
+    # Records start at 0, record_end[0], record_end[record_end[0]], ...
+    starts = np.zeros(1, np.int64)
+    jump = record_end
+    while starts[-1] != end:
+        starts = np.concatenate([starts, jump[starts]])
+        jump = jump[jump]
+    starts = starts[: np.argmax(starts == end) - 1]
+    return pick_at[starts], offset_at[starts]
+
+
+def _cover_records(words: RawWords, pool_size: int, width_us: int):
+    """Replay the cover loop's draws over the next block of raw words.
+
+    Each cover record is a ``randrange(pool_size)`` pick, then a
+    ``randrange(width_us)`` offset, each repeated until accepted. Returns
+    the picks, the offsets and the word after each record (counted from
+    the block's start), for every whole record in the block, in draw order.
+    """
+    size = _COVER_BLOCK_WORDS
+    while True:
+        block = words.peek(size)
+        picks, pick_ok, pick_width = below_draws(block, pool_size)
+        offsets, offset_ok, offset_width = below_draws(block, width_us)
+        if pick_width == offset_width == 1:
+            pick_at, offset_at = _alternate(pick_ok, offset_ok)
+        else:  # windows of 2**32 µs or more
+            pick_at, offset_at = _follow_records(pick_ok, pick_width, offset_ok, offset_width, size)
+        if len(pick_at):
+            return picks[pick_at], offsets[offset_at], offset_at + offset_width
+        size *= 2  # not one whole record in the block: read a longer one
+
+
 def inject_cover_traffic(
     target: Trace,
     reference: Trace,
@@ -422,22 +519,56 @@ def inject_cover_traffic(
 
     Cover sizes and directions are resampled from the target's own records
     so the filler does not import the reference's size fingerprint.
+
+    The draws are those of a loop that, for each cover packet, calls
+    ``rng.randrange(len(target))`` for the record to copy and then
+    ``rng.randrange(width)`` for the offset in the window, and ``rng`` is
+    left where that loop would leave it. ``rng`` must not override
+    ``random``, ``getrandbits`` or ``randrange`` (TypeError otherwise).
     """
     width = window_us(window_s)
-    rng = make_rng(rng)
+    words = RawWords(make_rng(rng))
     target_volumes = _window_volumes(target, width)
-    pool = target.signed_size.tolist()
+    deficits = [
+        (idx, volume - target_volumes.get(idx, 0))
+        for idx, volume in _window_volumes(reference, width).items()
+        if volume > target_volumes.get(idx, 0)
+    ]
+    if deficits and not len(target):
+        raise ConfigurationError("target trace is empty; no size distribution for cover")
+    if deficits and (deficits[-1][0] + 1) * width > 2**63:
+        raise ValueError(f"window_s {window_s!r} puts cover timestamps beyond 64 bits")
 
     cover_ts = array("q")  # 8 bytes an entry; a cover trace can hold millions
     cover_sizes = array("q")
-    for idx, volume in _window_volumes(reference, width).items():
-        deficit = volume - target_volumes.get(idx, 0)
-        if deficit > 0 and not pool:
-            raise ConfigurationError("target trace is empty; no size distribution for cover")
+    picks = offsets = ends = np.zeros(0, np.int64)  # the block's records, in draw order
+    spent = [0]  # spent[i]: bytes of the block's first i records
+    used = 0  # records of the block placed so far
+    windows, stops = [], []  # the block's records from stops[i - 1] to stops[i] go to windows[i]
+
+    def place():
+        """Append the placed records to the cover; move rng past their draws."""
+        counts = np.diff(np.array(stops, np.int64), prepend=0)
+        ts = np.repeat(np.array(windows, np.int64) * width, counts) + offsets[:used].astype(np.int64)
+        cover_ts.frombytes(ts.tobytes())
+        cover_sizes.frombytes(target.signed_size[picks[:used]].tobytes())
+        words.advance(int(ends[used - 1]) if used else 0)
+
+    for idx, deficit in deficits:
         while deficit > 0:
-            cover_sizes.append(pool[rng.randrange(len(pool))])
-            cover_ts.append(idx * width + rng.randrange(width))
-            deficit -= abs(cover_sizes[-1])
+            if used == len(picks):  # the block is used up: place it, replay the next one
+                place()
+                picks, offsets, ends = _cover_records(words, len(target), width)
+                spent = [0, *np.cumsum(np.abs(target.signed_size[picks])).tolist()]
+                used = 0
+                windows, stops = [], []
+            # The first record that brings the window's cover up to its deficit.
+            stop = min(bisect_left(spent, spent[used] + deficit), len(picks))
+            deficit -= spent[stop] - spent[used]
+            windows.append(idx)
+            stops.append(stop)
+            used = stop
+    place()
 
     # A stable sort keeps original records ahead of cover at equal
     # timestamps, so stripping the flag restores the input byte-for-byte.

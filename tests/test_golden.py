@@ -1,6 +1,7 @@
-"""Byte-identity goldens: the sha256 of every file two small experiments write.
+"""Byte-identity goldens: the sha256 of every file three small experiments write.
 
-The digests were captured before traces became columnar. A change that
+The digests were captured before traces became columnar, and the wide-cover
+ones before the cover draws were replayed from raw generator words. A change that
 alters any report or trace byte fails here; if the format is meant to
 change, the change says why and the digests are captured again.
 """
@@ -19,6 +20,16 @@ SYNTH_COVER = {
     "devices": ["bulb-like", "plug-like", "doorbell-like"],
     "n_trees": 10,
     "cover": {"enabled": True, "reference": "plug-like"},
+}
+
+# One cover window of 5000 s: 5e9 µs is above 2**32, so each cover offset
+# takes two words of generator output.
+SYNTH_WIDE_COVER = {
+    "seed": 9,
+    "duration_s": 300,
+    "devices": ["bulb-like", "plug-like", "camera-like"],
+    "n_trees": 10,
+    "cover": {"enabled": True, "reference": "camera-like", "window_s": 5000},
 }
 
 RECORDED = {
@@ -41,6 +52,20 @@ GOLDEN = {
         "traces/plug-like.padded.jsonl": "5db9e09bfd1bf747087b28ffb058c6dc1feab34d6c3916815b56e962d48775c3",
         "traces/plug-like.segmented.jsonl": "514541d47ab058065ae1cef28e64651f2f507058711c67ef4a5c9037475772d8",
         "traces/plug-like.undefended.jsonl": "08e1c580c7e28bc24a9c8e3053f938aa28011d91f983a7074d752a3b997b416a",
+    },
+    "synth-wide-cover": {
+        "metrics.csv": "9fa974aa822e663aa6f1d198ae00fb5c5501901be1a2e757e47be1055c6ec919",
+        "overhead.csv": "f44a101d0f9bab3709d2c7c2d74ce683340a0bcd3b862a423e026611ab2e3ff4",
+        "report.json": "b7fad9ee136c100e0b3d65b52159dc7f23a331f7ab0d508ad98754deab9155c4",
+        "traces/bulb-like.padded.jsonl": "a5be0958315a2296d612ee44d521cf7f92b5fce1b39eaac4e55c2e3f96418439",
+        "traces/bulb-like.segmented.jsonl": "4146b32d2f196b71228d23dea775fed22d4287f831611d7fb340fe5cde4f7860",
+        "traces/bulb-like.undefended.jsonl": "59f0a95eceeb3b2c81b4e180e563c0c1342c4f7131c7c2140a2c55e40d92cb52",
+        "traces/camera-like.padded.jsonl": "348bce1df9c03306a9046fedf3df9ae96f7ab5ab34224d8fce9e874f33a21597",
+        "traces/camera-like.segmented.jsonl": "192fb3cb24c1d7cce0aa29aafc2789d5113f2542a91b9b5d1cb20cbfc6f87cbe",
+        "traces/camera-like.undefended.jsonl": "5a1eacab3267afb4742ba6ea4d272c662d4147155d9e7cdaba04b06e1b7f83ca",
+        "traces/plug-like.padded.jsonl": "03eb89f531615285858437cfed63f9f529b4474e7127c1b8a2979f907612820e",
+        "traces/plug-like.segmented.jsonl": "72f1fd34b2a9ad7cf180415e22ad6e8a4efde2ac8e713ddd3df672819f177e0f",
+        "traces/plug-like.undefended.jsonl": "cb5b6829b497ee874bec14d3ffd2aba908cb6bbee874f027493d8e508491e81b",
     },
     "recorded": {
         "metrics.csv": "4590021c6f76c995ad6aad3619ad7c6e371d69a36fed29693131138449c1f314",
@@ -93,7 +118,10 @@ def _digests(out):
     }
 
 
-@pytest.mark.parametrize("name,config", [("synth-cover", SYNTH_COVER), ("recorded", RECORDED)])
+@pytest.mark.parametrize(
+    "name,config",
+    [("synth-cover", SYNTH_COVER), ("recorded", RECORDED), ("synth-wide-cover", SYNTH_WIDE_COVER)],
+)
 def test_outputs_match_golden_digests(tmp_path, monkeypatch, name, config):
     # Trace paths are relative, so report.json does not depend on tmp_path.
     monkeypatch.chdir(tmp_path)

@@ -19,6 +19,23 @@ from segshield.segcore import (
     segment_message,
     select_band,
 )
+from segshield.profiles import segmentation_profile, segmentation_profile_names
+
+
+def randint_segment_lengths(n, config, rng):
+    """segment_lengths as it drew chunk lengths with rng.randint: the oracle
+    for the inlined getrandbits draw."""
+    band = select_band(n, config)
+    if n < band.min_seg or rng.random() >= config.prob:
+        return SegmentPlan((n,), segmented=False)
+    lengths = []
+    start = 0
+    while start < n:
+        rand_len = rng.randint(band.min_seg, band.max_seg)
+        index = n if start + rand_len >= n else start + rand_len
+        lengths.append(index - start)
+        start = index
+    return SegmentPlan(tuple(lengths), segmented=True)
 
 
 def test_payload_capacity():
@@ -133,6 +150,30 @@ class TestSegmentLengths:
             band = config.bands[0]
             assert all(band.min_seg <= c <= band.max_seg for c in plan.lengths[:-1])
             assert plan.lengths[-1] <= band.max_seg
+
+    @given(
+        config=st.one_of(
+            st.builds(
+                segmentation_profile,
+                st.sampled_from(segmentation_profile_names()),
+                prob=st.one_of(st.none(), st.floats(0.0, 1.0)),
+            ),
+            # Spans of one, of a power of two and just either side of one.
+            st.builds(
+                lambda low, span, prob: SegmentationConfig(prob, (LevelBand(low, low + span - 1),)),
+                st.integers(1, 300),
+                st.sampled_from([1, 2, 3, 255, 256, 257, 1024]),
+                st.floats(0.0, 1.0),
+            ),
+        ),
+        lengths=st.lists(st.integers(1, 4000), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_randint_body(self, config, lengths, seed):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for n in lengths:
+            assert segment_lengths(n, config, rng) == randint_segment_lengths(n, config, oracle)
+        assert rng.getstate() == oracle.getstate()
 
     def test_pass_through_rate_tracks_prob(self, low_bandwidth):
         rng = random.Random(123)

@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 from conftest import small_traces
 from segshield.errors import ConfigurationError, TraceFormatError, TraceRecordError
 from segshield.segcore import LevelBand, SegmentationConfig
+from segshield import tracesim
 from segshield.tracesim import (
     DeviceProfile,
     PacketRecord,
@@ -21,6 +24,7 @@ from segshield.tracesim import (
     obfuscate_trace,
     pad_trace,
     synthesize_trace,
+    window_us,
     write_trace,
 )
 
@@ -156,6 +160,28 @@ class TestTraceIO:
         path = tmp_path / "t.csv"
         write_trace(trace, path, format="csv")
         assert ingest_trace(path).records == trace.records
+
+    @pytest.mark.parametrize("device", ["dev", 'a%d "b",c', "", " é\nx"])
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_sliced_writes_match_json_and_csv_writers(self, tmp_path, monkeypatch, device, rows):
+        monkeypatch.setattr(tracesim, "_WRITE_ROWS", rows)
+        trace = Trace(
+            [0, 5, 5, 90, 2**40], [130, -116, 144, -1, 2**40], [False, True, False, False, True],
+            device,
+        )
+        write_trace(trace, tmp_path / "t.jsonl")
+        write_trace(trace, tmp_path / "t.csv", format="csv")
+        lines = [
+            json.dumps({**vars(r), "device": device}, sort_keys=True) + "\n" for r in trace.records
+        ]
+        assert (tmp_path / "t.jsonl").read_text() == "".join(lines)
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp_us", "signed_size", "covered", "device"])
+            writer.writerows(
+                (r.timestamp_us, r.signed_size, int(r.covered), device) for r in trace.records
+            )
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_three_row_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -482,6 +508,66 @@ class TestCoverTraffic:
         assert result.trace.records == records
         assert result.cover_bytes == cover_bytes
         assert result.trace.device == target.device
+
+    @given(
+        target=small_traces(min_size=1),
+        reference=small_traces(device="ref"),
+        window_s=st.sampled_from([1e-6, 0.03, 30.0, 4294.967295, 4294.967296, 4294.967297,
+                                  5000.0, 1099511.627779]),
+        stretch=st.sampled_from([1, 5_000, 2_000_000]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_generator_ends_where_the_bucket_loop_leaves_it(
+        self, target, reference, window_s, stretch, seed
+    ):
+        # Windows of 2**32 µs and more take two words per offset draw.
+        target, reference = (
+            replace(trace, timestamp_us=trace.timestamp_us * stretch) for trace in (target, reference)
+        )
+        rng, oracle = random.Random(seed), random.Random(seed)
+        result = inject_cover_traffic(target, reference, window_s, rng=rng)
+        records, cover_bytes = bucket_cover(target, reference, window_us(window_s), oracle)
+        assert result.trace.records == records
+        assert result.cover_bytes == cover_bytes
+        assert rng.getstate() == oracle.getstate()
+
+    @given(
+        target=small_traces(min_size=1),
+        reference=small_traces(device="ref"),
+        block=st.sampled_from([1, 2, 3, 8]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_short_blocks_give_the_same_draws(self, target, reference, block, seed):
+        # Records cross block ends, and a block too short for one record is read again longer.
+        rng, oracle = random.Random(seed), random.Random(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tracesim, "_COVER_BLOCK_WORDS", block)
+            result = inject_cover_traffic(target, reference, 0.5, rng=rng)
+        records, cover_bytes = bucket_cover(target, reference, 500_000, oracle)
+        assert result.trace.records == records
+        assert rng.getstate() == oracle.getstate()
+
+    @given(flags=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60))
+    def test_one_word_labels_match_record_following(self, flags):
+        pick_ok, offset_ok = (np.array(column, bool) for column in zip(*flags))
+        labelled = tracesim._alternate(pick_ok, offset_ok)
+        followed = tracesim._follow_records(pick_ok, 1, offset_ok, 1, len(flags))
+        assert all(map(np.array_equal, labelled, followed))
+
+    @pytest.mark.parametrize("method", ["random", "getrandbits", "randrange"])
+    def test_generator_that_draws_differently_is_rejected(self, method):
+        own = type("Own", (random.Random,), {method: lambda self, *args: 0})
+        low = mk_trace([130] * 5, step_us=1_000_000)
+        high = mk_trace([400] * 50, step_us=100_000)
+        with pytest.raises(TypeError, match=f"rng must draw as random.Random does.*{method}"):
+            inject_cover_traffic(low, high, window_s=5, rng=own(1))
+
+    def test_timestamps_beyond_64_bits_rejected(self):
+        # Window 1 of 5e18 µs ends past 2**63 µs.
+        low = mk_trace([130])
+        high = Trace([0, 5 * 10**18 + 1], [400, 400], [False, False], "high")
+        with pytest.raises(ValueError, match="beyond 64 bits"):
+            inject_cover_traffic(low, high, window_s=5e12, rng=0)
 
     def test_cover_flag_metadata_only(self):
         low = mk_trace([130] * 5, step_us=1_000_000)
