@@ -30,6 +30,27 @@ def derive_seed(master: int, *tags: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def draws_as_random(rng: random.Random) -> bool:
+    """Whether ``rng`` draws integers as ``random.Random`` does.
+
+    ``random.Random`` draws ``randrange`` and ``randint`` by
+    ``_randbelow_with_getrandbits``: ``getrandbits(k)``, k = n.bit_length(),
+    until the value is below n. A subclass that overrides ``random()`` alone
+    gets ``_randbelow_without_getrandbits`` (CPython's ``__init_subclass__``),
+    which draws through ``random()`` instead; one that overrides
+    ``_randbelow``, ``getrandbits``, ``randrange`` or ``randint`` draws its
+    own way too. Code that replays or inlines the ``getrandbits`` loop makes
+    the draws of ``randrange`` and ``randint`` only when this is true.
+    """
+    cls = type(rng)
+    return cls is random.Random or (
+        cls._randbelow is random.Random._randbelow_with_getrandbits
+        and cls.getrandbits is random.Random.getrandbits
+        and cls.randrange is random.Random.randrange
+        and cls.randint is random.Random.randint
+    )
+
+
 class RawWords:
     """The 32-bit words of a ``random.Random``'s MT19937 stream, as numpy
     arrays, so a loop of scalar draws can be replayed on whole blocks.
@@ -42,19 +63,11 @@ class RawWords:
     stream, the first in the lowest bits.
     """
 
-    # The methods whose draws the replay reproduces; a subclass that
-    # overrides one of them would draw differently from the replay.
-    _REPLAYED = ("random", "getrandbits", "randrange")
-
     def __init__(self, rng: random.Random):
-        overridden = [
-            name for name in self._REPLAYED
-            if getattr(type(rng), name) is not getattr(random.Random, name)
-        ]
-        if overridden:
+        if not draws_as_random(rng):
             raise TypeError(
                 f"rng must draw as random.Random does, but {type(rng).__name__} "
-                f"overrides {', '.join(overridden)}"
+                "draws integers its own way"
             )
         self._rng = rng
 

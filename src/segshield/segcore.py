@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import ConfigurationError
+from .rng import draws_as_random
 
 # IPv4 + TCP headers without options; a segment payload larger than
 # mtu - this would force IP fragmentation.
@@ -170,14 +171,19 @@ def segment_lengths(n: int, config: SegmentationConfig, rng: random.Random) -> S
     start = 0
     # rng.randint(min_seg, max_seg) as CPython draws it: getrandbits(k)
     # until the value is below the span. Inlined, it costs no Python frame.
+    # A generator that draws integers its own way gets its own randint called.
+    inline = draws_as_random(rng)
     span = band.max_seg - band.min_seg + 1
     k = span.bit_length()
     getrandbits = rng.getrandbits
     while start < n:
-        r = getrandbits(k)
-        while r >= span:
+        if inline:
             r = getrandbits(k)
-        rand_len = band.min_seg + r
+            while r >= span:
+                r = getrandbits(k)
+            rand_len = band.min_seg + r
+        else:
+            rand_len = rng.randint(band.min_seg, band.max_seg)
         index = n if start + rand_len >= n else start + rand_len
         lengths.append(index - start)
         start = index

@@ -438,25 +438,6 @@ def _window_volumes(trace: Trace, width_us: int) -> dict[int, int]:
 _COVER_BLOCK_WORDS = 1 << 14
 
 
-def _alternate(pick_ok, offset_ok):
-    """Where a loop that alternates one-word pick and offset draws, each
-    repeated until accepted, takes each, from the start of a block.
-
-    Before each word the loop waits for a pick (0) or an offset (1). A word
-    both draws accept flips the wait; a word only one accepts sets it (to 1
-    if the pick accepts it); a word neither accepts keeps it. So the wait
-    after word j is the value set last, flipped once per flip since.
-    """
-    # int32 counts: numpy accumulates them about three times faster than int64.
-    sets = pick_ok != offset_ok
-    flips = np.cumsum(pick_ok & offset_ok, dtype=np.int32)
-    set_at = np.flatnonzero(sets)
-    after_set = np.concatenate([[0], pick_ok[set_at] - flips[set_at]])
-    waits = np.concatenate([[0], (after_set[np.cumsum(sets, dtype=np.int32)] + flips)[:-1] & 1])
-    offsets = np.flatnonzero(offset_ok & (waits == 1))
-    return np.flatnonzero(pick_ok & (waits == 0))[: len(offsets)], offsets
-
-
 def _next_accepted(accepted, width: int, end: int):
     """For each word position j in [0, end], the first accepted attempt at
     j, j + width, j + 2 * width, ...; ``end`` where there is none."""
@@ -468,8 +449,17 @@ def _next_accepted(accepted, width: int, end: int):
 
 
 def _follow_records(pick_ok, pick_width: int, offset_ok, offset_width: int, size: int):
-    """``_alternate`` for draws of any width: follows the records by pointer
-    doubling, log2(records) rounds over the block."""
+    """Where a loop that alternates pick and offset draws, each repeated
+    until accepted, takes each, from the start of a block of ``size`` words.
+
+    An attempt at word j takes ``width`` words; a rejected one is retried at
+    j + width. So a record starting at j has its pick at the first accepted
+    pick attempt in j, j + pick_width, ..., and its offset likewise after
+    that; the next record starts where the offset ends. Returns the words
+    at which each whole record's accepted pick and offset start, following
+    the records from word 0 by pointer doubling, log2(records) rounds over
+    the block.
+    """
     end = size + 1  # "no whole record left in the block"
     pick_at = _next_accepted(pick_ok, pick_width, end)
     offset_at = _next_accepted(offset_ok, offset_width, end)[
@@ -499,10 +489,7 @@ def _cover_records(words: RawWords, pool_size: int, width_us: int):
         block = words.peek(size)
         picks, pick_ok, pick_width = below_draws(block, pool_size)
         offsets, offset_ok, offset_width = below_draws(block, width_us)
-        if pick_width == offset_width == 1:
-            pick_at, offset_at = _alternate(pick_ok, offset_ok)
-        else:  # windows of 2**32 µs or more
-            pick_at, offset_at = _follow_records(pick_ok, pick_width, offset_ok, offset_width, size)
+        pick_at, offset_at = _follow_records(pick_ok, pick_width, offset_ok, offset_width, size)
         if len(pick_at):
             return picks[pick_at], offsets[offset_at], offset_at + offset_width
         size *= 2  # not one whole record in the block: read a longer one
@@ -523,8 +510,8 @@ def inject_cover_traffic(
     The draws are those of a loop that, for each cover packet, calls
     ``rng.randrange(len(target))`` for the record to copy and then
     ``rng.randrange(width)`` for the offset in the window, and ``rng`` is
-    left where that loop would leave it. ``rng`` must not override
-    ``random``, ``getrandbits`` or ``randrange`` (TypeError otherwise).
+    left where that loop would leave it. ``rng`` must draw integers as
+    ``random.Random`` does (``rng.draws_as_random``; TypeError otherwise).
     """
     width = window_us(window_s)
     words = RawWords(make_rng(rng))

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from segshield.rng import RawWords, below_draws
+from segshield.rng import RawWords, below_draws, draws_as_random
 
 
 def test_words_are_getrandbits_32():
@@ -95,17 +95,54 @@ class OwnBits(random.Random):
         return 0
 
 
+class OwnBelow(random.Random):
+    def _randbelow(self, n):
+        return 0
+
+
+class OwnRandrange(random.Random):
+    def randrange(self, *args):
+        return 0
+
+
+class OwnRandint(random.Random):
+    def randint(self, a, b):
+        return a
+
+
 class Harmless(random.Random):
     """A subclass that changes no draw."""
 
 
-@pytest.mark.parametrize("cls", [OwnRandom, OwnBits, random.SystemRandom])
+class HarmlessOfOwnRandom(OwnRandom):
+    """random() overridden, but integers still drawn by getrandbits."""
+
+    _randbelow = random.Random._randbelow_with_getrandbits
+
+
+DRAW_THEIR_OWN_WAY = [OwnRandom, OwnBits, OwnBelow, OwnRandrange, OwnRandint, random.SystemRandom]
+
+
+@pytest.mark.parametrize("cls", DRAW_THEIR_OWN_WAY)
 def test_subclass_that_draws_differently_is_rejected(cls):
+    assert not draws_as_random(cls(1))
     with pytest.raises(TypeError, match="rng must draw as random.Random does"):
         RawWords(cls(1))
 
 
-def test_plain_subclass_is_accepted():
-    words = RawWords(Harmless(5)).peek(3)
+@pytest.mark.parametrize("cls", [random.Random, Harmless, HarmlessOfOwnRandom])
+def test_subclass_that_draws_as_random_is_accepted(cls):
+    assert draws_as_random(cls(5))
+    words = RawWords(cls(5)).peek(3)
     expected = random.Random(5)
     assert words.tolist() == [expected.getrandbits(32) for _ in range(3)]
+    # The premise of the check: randint is the getrandbits rejection loop.
+    rng, oracle = cls(6), random.Random(6)
+    assert [rng.randint(3, 700) for _ in range(500)] == [oracle.randint(3, 700) for _ in range(500)]
+
+
+@pytest.mark.parametrize("cls", [OwnRandom])
+def test_random_override_changes_randint(cls):
+    # Why random() alone counts: CPython then draws integers through it.
+    rng, oracle = cls(6), random.Random(6)
+    assert [rng.randint(3, 700) for _ in range(50)] != [oracle.randint(3, 700) for _ in range(50)]

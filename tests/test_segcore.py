@@ -175,6 +175,20 @@ class TestSegmentLengths:
             assert segment_lengths(n, config, rng) == randint_segment_lengths(n, config, oracle)
         assert rng.getstate() == oracle.getstate()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generator_drawing_through_random_keeps_randint_draws(self, seed):
+        # Overriding random() alone makes CPython's randint draw through
+        # random(), not getrandbits; the planner must follow randint.
+        class HalfRandom(random.Random):
+            def random(self):
+                return super().random() / 2
+
+        config = SegmentationConfig(prob=1.0, bands=(LevelBand(5, 20, 250), LevelBand(300, 1000)))
+        rng, oracle = HalfRandom(seed), HalfRandom(seed)
+        for n in (1, 7, 250, 4000, 9000):
+            assert segment_lengths(n, config, rng) == randint_segment_lengths(n, config, oracle)
+        assert rng.getstate() == oracle.getstate()
+
     def test_pass_through_rate_tracks_prob(self, low_bandwidth):
         rng = random.Random(123)
         config = SegmentationConfig(prob=0.7, bands=low_bandwidth.bands)

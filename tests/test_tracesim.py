@@ -547,19 +547,12 @@ class TestCoverTraffic:
         assert result.trace.records == records
         assert rng.getstate() == oracle.getstate()
 
-    @given(flags=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60))
-    def test_one_word_labels_match_record_following(self, flags):
-        pick_ok, offset_ok = (np.array(column, bool) for column in zip(*flags))
-        labelled = tracesim._alternate(pick_ok, offset_ok)
-        followed = tracesim._follow_records(pick_ok, 1, offset_ok, 1, len(flags))
-        assert all(map(np.array_equal, labelled, followed))
-
-    @pytest.mark.parametrize("method", ["random", "getrandbits", "randrange"])
+    @pytest.mark.parametrize("method", ["random", "getrandbits", "randrange", "_randbelow"])
     def test_generator_that_draws_differently_is_rejected(self, method):
         own = type("Own", (random.Random,), {method: lambda self, *args: 0})
         low = mk_trace([130] * 5, step_us=1_000_000)
         high = mk_trace([400] * 50, step_us=100_000)
-        with pytest.raises(TypeError, match=f"rng must draw as random.Random does.*{method}"):
+        with pytest.raises(TypeError, match="rng must draw as random.Random does, but Own"):
             inject_cover_traffic(low, high, window_s=5, rng=own(1))
 
     def test_timestamps_beyond_64_bits_rejected(self):
