@@ -8,17 +8,16 @@ from .errors import (
     TraceFormatError,
     TransportError,
 )
+from .profiles import load_config, save_config
 from .rng import derive_seed, make_rng
 from .segcore import (
     LevelBand,
     SegmentationConfig,
     SegmentPlan,
     iter_chunks,
-    load_config,
     pad_packet_random,
     payload_capacity,
     plan_default_segments,
-    save_config,
     segment_lengths,
     segment_message,
     select_band,

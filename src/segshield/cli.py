@@ -8,20 +8,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import attackeval, profiles, shaper, tracesim
-from .attackeval import check_attack_parameters, run_attack
+from . import profiles, shaper
 from .errors import SegShieldError
 from .profiles import resolve_device, resolve_segmentation
-from .report import run_experiment
 from .shaper import SocketTuning, mean_wall_time, run_receiver, send_seeded_payload
-from .tracesim import (
-    ingest_trace,
-    inject_cover_traffic,
-    obfuscate_trace,
-    pad_trace,
-    synthesize_trace,
-    write_trace,
-)
+
+# The offline stack (report, attackeval, tracesim) loads numpy, so each command
+# that uses it imports it itself: `shaper` starts faster and holds less memory.
 
 
 def _preset_or_json(arg: str, preset_names) -> str | dict:
@@ -61,6 +54,8 @@ def _run(main) -> int:
 
 
 def main_segshield(argv=None) -> int:
+    from .report import run_experiment
+
     parser = argparse.ArgumentParser(
         prog="segshield", description="Run the full defense/attack/overhead experiment."
     )
@@ -138,6 +133,16 @@ def main_shaper(argv=None) -> int:
 
 
 def main_tracesim(argv=None) -> int:
+    from . import attackeval, tracesim
+    from .tracesim import (
+        ingest_trace,
+        inject_cover_traffic,
+        obfuscate_trace,
+        pad_trace,
+        synthesize_trace,
+        write_trace,
+    )
+
     parser = argparse.ArgumentParser(prog="tracesim", description="Offline trace defenses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -209,6 +214,10 @@ def main_tracesim(argv=None) -> int:
 
 
 def main_attackeval(argv=None) -> int:
+    from . import attackeval, tracesim
+    from .attackeval import check_attack_parameters, run_attack
+    from .tracesim import ingest_trace
+
     parser = argparse.ArgumentParser(
         prog="attackeval", description="Window-based device fingerprinting attack."
     )

@@ -13,17 +13,21 @@ separates them but segmentation leaves little to key on.
 
 ``resolve_segmentation`` and ``resolve_device`` turn a config entry into
 the typed value; their errors name the key path of the offending value.
+``load_config``, ``save_config`` and ``load_profile`` read and write those
+entries as JSON files.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import types
+from dataclasses import dataclass
+from pathlib import Path
 from typing import get_args
 
 from .errors import ConfigurationError
 from .segcore import DEFAULT_MSS, DEFAULT_MTU, LevelBand, SegmentationConfig
-from .tracesim import DeviceProfile
 
 DEFAULT_SEGMENTATION_PROFILE = "low-bandwidth"
 
@@ -112,6 +116,60 @@ _DEVICE_PRESETS: dict[str, dict] = {
         "outgoing": ((134, 0.2), (166, 0.1)),
     },
 }
+
+
+@dataclass(frozen=True)
+class DeviceProfile:
+    """Synthetic stand-in for a captured device: a packet-rate process plus
+    per-direction frame-size distributions.
+
+    ``incoming`` / ``outgoing`` are (frame_length, weight) pairs; the two
+    weight totals set the direction mix. ``mode_schedule`` entries
+    (start_s, end_s, multiplier) scale the rate inside their interval.
+    """
+
+    name: str
+    mean_rate: float
+    incoming: tuple[tuple[int, float], ...] = ()
+    outgoing: tuple[tuple[int, float], ...] = ()
+    mode_schedule: tuple[tuple[float, float, float], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "incoming", tuple((int(l), float(w)) for l, w in self.incoming))
+        object.__setattr__(self, "outgoing", tuple((int(l), float(w)) for l, w in self.outgoing))
+        object.__setattr__(
+            self,
+            "mode_schedule",
+            tuple((float(a), float(b), float(m)) for a, b, m in self.mode_schedule),
+        )
+        if self.mean_rate <= 0:
+            raise ConfigurationError("mean_rate must be positive")
+        if not self.incoming and not self.outgoing:
+            raise ConfigurationError("profile needs at least one size distribution")
+        for length, weight in (*self.incoming, *self.outgoing):
+            if length < 1:
+                raise ConfigurationError("frame lengths must be >= 1")
+            if not (weight > 0 and math.isfinite(weight)):
+                raise ConfigurationError("weights must be positive and finite")
+        for start, end, mult in self.mode_schedule:
+            if end <= start or mult < 0:
+                raise ConfigurationError("bad mode_schedule entry")
+
+    def rate_at(self, t: float) -> float:
+        rate = self.mean_rate
+        for start, end, mult in self.mode_schedule:
+            if start <= t < end:
+                rate = self.mean_rate * mult
+        return rate
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "mean_rate": self.mean_rate,
+            "incoming": [list(p) for p in self.incoming],
+            "outgoing": [list(p) for p in self.outgoing],
+            "mode_schedule": [list(p) for p in self.mode_schedule],
+        }
 
 
 def device_profile(name: str, mean_rate: float | None = None) -> DeviceProfile:
@@ -233,3 +291,17 @@ def resolve_device(spec, path: str = "device") -> DeviceProfile:
         rows = enumerate(values.get(key, ()))
         values[key] = tuple(check_value(row, f"{path}.{key}[{i}]", kinds) for i, row in rows)
     return _build(path, DeviceProfile, **values)
+
+
+def load_config(path: str | Path) -> SegmentationConfig:
+    with open(path) as fh:
+        return resolve_segmentation(json.load(fh))
+
+
+def save_config(config: SegmentationConfig, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def load_profile(path: str | Path) -> DeviceProfile:
+    with open(path) as fh:
+        return resolve_device(json.load(fh))

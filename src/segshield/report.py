@@ -19,11 +19,17 @@ from pathlib import Path
 from . import __version__, attackeval, profiles, tracesim
 from .attackeval import Metrics, evaluate, extract_windows, split_dataset, train_forest
 from .errors import ConfigurationError, SegShieldError
-from .profiles import NON_NEGATIVE, POSITIVE, check_object, resolve_device, resolve_segmentation
+from .profiles import (
+    NON_NEGATIVE,
+    POSITIVE,
+    DeviceProfile,
+    check_object,
+    resolve_device,
+    resolve_segmentation,
+)
 from .rng import derive_seed
 from .segcore import SegmentationConfig
 from .tracesim import (
-    DeviceProfile,
     Trace,
     ingest_trace,
     inject_cover_traffic,

@@ -7,10 +7,8 @@ so traces and live transfers replay exactly from a seed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import ConfigurationError
@@ -86,24 +84,8 @@ class SegmentationConfig:
                     f"band max_seg {b.max_seg} exceeds MTU payload capacity {capacity}"
                 )
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SegmentationConfig":
-        """Parse and check a full config object (see profiles.resolve_segmentation)."""
-        from .profiles import resolve_segmentation  # profiles builds on this module
-
-        return resolve_segmentation(raw)
-
     def to_dict(self) -> dict:
         return {**asdict(self), "bands": [asdict(b) for b in self.bands]}
-
-
-def load_config(path: str | Path) -> SegmentationConfig:
-    with open(path) as fh:
-        return SegmentationConfig.from_dict(json.load(fh))
-
-
-def save_config(config: SegmentationConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -117,7 +99,7 @@ class SegmentPlan:
     def __post_init__(self):
         if not self.lengths:
             raise ValueError("a plan needs at least one chunk")
-        if any(n <= 0 for n in self.lengths):
+        if min(self.lengths) <= 0:
             raise ValueError("chunk lengths must be positive")
 
     @property

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
 from array import array
 from bisect import bisect_left
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, TraceFormatError, TraceRecordError
+from .profiles import DeviceProfile
 from .rng import RawWords, below_draws, make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, pad_packet_random, segment_lengths
 
@@ -133,72 +133,6 @@ class Trace:
     def without_cover(self) -> "Trace":
         kept = ~self.covered
         return replace(self, **{name: getattr(self, name)[kept] for name in _COLUMN_TYPES})
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """Synthetic stand-in for a captured device: a packet-rate process plus
-    per-direction frame-size distributions.
-
-    ``incoming`` / ``outgoing`` are (frame_length, weight) pairs; the two
-    weight totals set the direction mix. ``mode_schedule`` entries
-    (start_s, end_s, multiplier) scale the rate inside their interval.
-    """
-
-    name: str
-    mean_rate: float
-    incoming: tuple[tuple[int, float], ...] = ()
-    outgoing: tuple[tuple[int, float], ...] = ()
-    mode_schedule: tuple[tuple[float, float, float], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "incoming", tuple((int(l), float(w)) for l, w in self.incoming))
-        object.__setattr__(self, "outgoing", tuple((int(l), float(w)) for l, w in self.outgoing))
-        object.__setattr__(
-            self,
-            "mode_schedule",
-            tuple((float(a), float(b), float(m)) for a, b, m in self.mode_schedule),
-        )
-        if self.mean_rate <= 0:
-            raise ConfigurationError("mean_rate must be positive")
-        if not self.incoming and not self.outgoing:
-            raise ConfigurationError("profile needs at least one size distribution")
-        for length, weight in (*self.incoming, *self.outgoing):
-            if length < 1:
-                raise ConfigurationError("frame lengths must be >= 1")
-            if not (weight > 0 and math.isfinite(weight)):
-                raise ConfigurationError("weights must be positive and finite")
-        for start, end, mult in self.mode_schedule:
-            if end <= start or mult < 0:
-                raise ConfigurationError("bad mode_schedule entry")
-
-    def rate_at(self, t: float) -> float:
-        rate = self.mean_rate
-        for start, end, mult in self.mode_schedule:
-            if start <= t < end:
-                rate = self.mean_rate * mult
-        return rate
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DeviceProfile":
-        """Parse and check a full profile object (see profiles.resolve_device)."""
-        from .profiles import resolve_device  # profiles builds on this module
-
-        return resolve_device(raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mean_rate": self.mean_rate,
-            "incoming": [list(p) for p in self.incoming],
-            "outgoing": [list(p) for p in self.outgoing],
-            "mode_schedule": [list(p) for p in self.mode_schedule],
-        }
-
-
-def load_profile(path: str | Path) -> DeviceProfile:
-    with open(path) as fh:
-        return DeviceProfile.from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

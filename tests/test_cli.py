@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import segshield
 from segshield.cli import main_attackeval, main_segshield, main_shaper, main_tracesim
 from segshield.shaper import bound_port
 from segshield.tracesim import ingest_trace
@@ -275,3 +280,32 @@ class TestShaperCli:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+LIVE_PATH_PROBE = """
+import sys
+import segshield
+import segshield.cli
+import segshield.profiles
+import segshield.rng
+import segshield.segcore
+import segshield.shaper
+try:
+    segshield.cli.main_shaper(["send", "--help"])
+except SystemExit:
+    pass
+offline = ("numpy", "segshield.tracesim", "segshield.attackeval", "segshield.report")
+print(sorted(name for name in offline if name in sys.modules))
+"""
+
+
+def test_live_path_imports_only_the_standard_library():
+    """The sender's modules and the shaper command load neither numpy nor
+    the offline simulator."""
+    src = str(Path(segshield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", LIVE_PATH_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -10,16 +10,20 @@ from segshield.segcore import (
     SegmentationConfig,
     SegmentPlan,
     iter_chunks,
-    load_config,
     pad_packet_random,
     payload_capacity,
     plan_default_segments,
-    save_config,
     segment_lengths,
     segment_message,
     select_band,
 )
-from segshield.profiles import segmentation_profile, segmentation_profile_names
+from segshield.profiles import (
+    load_config,
+    resolve_segmentation,
+    save_config,
+    segmentation_profile,
+    segmentation_profile_names,
+)
 
 
 def randint_segment_lengths(n, config, rng):
@@ -286,7 +290,7 @@ class TestConfigIO:
         assert load_config(path) == high_bandwidth
 
     def test_dict_roundtrip(self, high_bandwidth):
-        assert SegmentationConfig.from_dict(high_bandwidth.to_dict()) == high_bandwidth
+        assert resolve_segmentation(high_bandwidth.to_dict()) == high_bandwidth
 
     def test_from_dict_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -11,16 +11,15 @@ from hypothesis import given, strategies as st
 
 from conftest import small_traces
 from segshield.errors import ConfigurationError, TraceFormatError, TraceRecordError
+from segshield.profiles import DeviceProfile, load_profile
 from segshield.segcore import LevelBand, SegmentationConfig
 from segshield import tracesim
 from segshield.tracesim import (
-    DeviceProfile,
     PacketRecord,
     Trace,
     _window_volumes,
     ingest_trace,
     inject_cover_traffic,
-    load_profile,
     obfuscate_trace,
     pad_trace,
     synthesize_trace,
