@@ -8,7 +8,6 @@ from .errors import (
     TraceFormatError,
     TransportError,
 )
-from .profiles import load_config, save_config
 from .rng import derive_seed, make_rng
 from .segcore import (
     LevelBand,
@@ -36,12 +35,10 @@ __all__ = [
     "SegmentPlan",
     "derive_seed",
     "iter_chunks",
-    "load_config",
     "make_rng",
     "pad_packet_random",
     "payload_capacity",
     "plan_default_segments",
-    "save_config",
     "segment_lengths",
     "segment_message",
     "select_band",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import profiles, shaper
 from .errors import SegShieldError
-from .profiles import resolve_device, resolve_segmentation
+from .profiles import NON_NEGATIVE, POSITIVE, check_value, resolve_device, resolve_segmentation
 from .shaper import SocketTuning, mean_wall_time, run_receiver, send_seeded_payload
 
 # The offline stack (report, attackeval, tracesim) loads numpy, so each command
@@ -175,13 +175,17 @@ def main_tracesim(argv=None) -> int:
     args = parser.parse_args(argv)
 
     def go():
+        # Flags are checked before any file is read, by the experiment config's rules.
+        check_value(args.header_bytes, "--header-bytes", int, NON_NEGATIVE)
         if args.command == "obfuscate":
+            check_value(args.time_overhead, "--time-overhead", float, NON_NEGATIVE)
             config = _segmentation_flags(args)
             trace = ingest_trace(args.infile, header_bytes=args.header_bytes)
             out = obfuscate_trace(trace, config, args.time_overhead, args.seed)
             write_trace(out, args.out)
             print(f"{len(trace)} -> {len(out)} records")
         elif args.command == "pad":
+            check_value(args.mtu_frame, "--mtu-frame", int, POSITIVE)
             trace = ingest_trace(args.infile, header_bytes=args.header_bytes)
             out = pad_trace(trace, args.mtu_frame, args.seed)
             write_trace(out, args.out)
@@ -216,7 +220,7 @@ def main_tracesim(argv=None) -> int:
 def main_attackeval(argv=None) -> int:
     from . import attackeval, tracesim
     from .attackeval import check_attack_parameters, run_attack
-    from .tracesim import ingest_trace
+    from .tracesim import ingest_trace, traces_by_device
 
     parser = argparse.ArgumentParser(
         prog="attackeval", description="Window-based device fingerprinting attack."
@@ -243,8 +247,10 @@ def main_attackeval(argv=None) -> int:
             max_depth=args.max_depth,
         )
         check_attack_parameters(**parameters)
-        traces = [ingest_trace(p, header_bytes=args.header_bytes) for p in args.traces]
-        metrics = run_attack(traces, seed=args.seed, **parameters)
+        check_value(args.header_bytes, "--header-bytes", int, NON_NEGATIVE)
+        read = (ingest_trace(path, header_bytes=args.header_bytes) for path in args.traces)
+        traces = traces_by_device(args.traces, read, "--traces")
+        metrics = run_attack(list(traces.values()), seed=args.seed, **parameters)
         _dump_json(metrics.to_dict(), args.out)
 
     return _run(go)

@@ -13,21 +13,17 @@ separates them but segmentation leaves little to key on.
 
 ``resolve_segmentation`` and ``resolve_device`` turn a config entry into
 the typed value; their errors name the key path of the offending value.
-``load_config``, ``save_config`` and ``load_profile`` read and write those
-entries as JSON files.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import types
 from dataclasses import dataclass
-from pathlib import Path
 from typing import get_args
 
 from .errors import ConfigurationError
-from .segcore import DEFAULT_MSS, DEFAULT_MTU, LevelBand, SegmentationConfig
+from .segcore import LevelBand, SegmentationConfig
 
 DEFAULT_SEGMENTATION_PROFILE = "low-bandwidth"
 
@@ -53,13 +49,7 @@ _SEGMENTATION_PRESETS: dict[str, dict] = {
 }
 
 
-def segmentation_profile(
-    name: str,
-    prob: float | None = None,
-    seed: int = 0,
-    mss: int = DEFAULT_MSS,
-    mtu: int = DEFAULT_MTU,
-) -> SegmentationConfig:
+def segmentation_profile(name: str, prob: float | None = None, seed: int = 0) -> SegmentationConfig:
     """Build a SegmentationConfig from a named preset, with overrides."""
     try:
         preset = _SEGMENTATION_PRESETS[name]
@@ -70,13 +60,8 @@ def segmentation_profile(
         LevelBand(min_seg=lo, max_seg=hi, upper_threshold=thr)
         for lo, hi, thr in preset["bands"]
     )
-    return SegmentationConfig(
-        prob=preset["prob"] if prob is None else prob,
-        bands=bands,
-        mss=mss,
-        mtu=mtu,
-        seed=seed,
-    )
+    prob = preset["prob"] if prob is None else prob
+    return SegmentationConfig(prob=prob, bands=bands, seed=seed)
 
 
 def segmentation_profile_names() -> tuple[str, ...]:
@@ -161,15 +146,6 @@ class DeviceProfile:
             if start <= t < end:
                 rate = self.mean_rate * mult
         return rate
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mean_rate": self.mean_rate,
-            "incoming": [list(p) for p in self.incoming],
-            "outgoing": [list(p) for p in self.outgoing],
-            "mode_schedule": [list(p) for p in self.mode_schedule],
-        }
 
 
 def device_profile(name: str, mean_rate: float | None = None) -> DeviceProfile:
@@ -291,17 +267,3 @@ def resolve_device(spec, path: str = "device") -> DeviceProfile:
         rows = enumerate(values.get(key, ()))
         values[key] = tuple(check_value(row, f"{path}.{key}[{i}]", kinds) for i, row in rows)
     return _build(path, DeviceProfile, **values)
-
-
-def load_config(path: str | Path) -> SegmentationConfig:
-    with open(path) as fh:
-        return resolve_segmentation(json.load(fh))
-
-
-def save_config(config: SegmentationConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def load_profile(path: str | Path) -> DeviceProfile:
-    with open(path) as fh:
-        return resolve_device(json.load(fh))

@@ -36,6 +36,8 @@ from .tracesim import (
     obfuscate_trace,
     pad_trace,
     synthesize_trace,
+    traces_by_device,
+    window_us,
     write_trace,
 )
 
@@ -72,10 +74,6 @@ class OverheadResult:
     @property
     def b(self) -> Fraction:
         return byte_overhead(self.w_b, self.d_b - self.cover_bytes)
-
-    @property
-    def b_with_cover(self) -> Fraction:
-        return byte_overhead(self.w_b, self.d_b)
 
     @property
     def t(self) -> Fraction:
@@ -119,8 +117,18 @@ _TRACES = (
     (lambda v: len(v) >= 2 and all(isinstance(p, str) for p in v), "two or more path strings"),
 )
 _UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
-# Windows are cut in whole microseconds (tracesim.window_us).
-_WINDOW = (lambda v: round(v * 1e6) >= 1, "at least 1 µs once rounded to whole microseconds")
+
+
+def _cuts_windows(window_s: float) -> bool:
+    """Whether traces can be cut into windows this long (tracesim.window_us)."""
+    try:
+        window_us(window_s)
+    except ValueError:
+        return False
+    return True
+
+
+_WINDOW = (_cuts_windows, "at least 1 µs once rounded to whole microseconds")
 _COVER_KEYS = {"enabled": bool, "reference": str | None, "window_s": (float, _WINDOW)}
 
 
@@ -218,7 +226,9 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
 
     stage = "inputs"
     try:
-        base: dict[str, Trace] = {}
+        # Exactly one of cfg.traces and cfg.devices is non-empty.
+        read = (ingest_trace(path, header_bytes=cfg.header_bytes) for path in cfg.traces)
+        base = traces_by_device(cfg.traces, read)
         for profile in cfg.devices:
             base[profile.name] = synthesize_trace(
                 profile,
@@ -226,12 +236,6 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
                 derive_seed(master, "synth", profile.name),
                 header_bytes=cfg.header_bytes,
             )
-        for path in cfg.traces:
-            trace = ingest_trace(path, header_bytes=cfg.header_bytes)
-            if trace.device in base:
-                first = cfg.traces[list(base).index(trace.device)]
-                raise ConfigurationError(f"traces: {first} and {path} both hold {trace.device!r}")
-            base[trace.device] = trace
         reference = cfg.cover_reference
         if reference is not None and reference not in base:
             raise ConfigurationError(f"cover.reference: {reference!r} is not a device")

@@ -8,7 +8,7 @@ so traces and live transfers replay exactly from a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ConfigurationError
@@ -83,9 +83,6 @@ class SegmentationConfig:
                 raise ConfigurationError(
                     f"band max_seg {b.max_seg} exceeds MTU payload capacity {capacity}"
                 )
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "bands": [asdict(b) for b in self.bands]}
 
 
 @dataclass(frozen=True)

@@ -43,24 +43,6 @@ def window_us(window_s: float) -> int:
     return us
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One packet, as ``Trace.records`` lists it: when, how big, which way,
-    and whether it is a flagged cover packet the receiver will discard."""
-
-    timestamp_us: int
-    signed_size: int
-    covered: bool = False
-
-    @property
-    def size(self) -> int:
-        return abs(self.signed_size)
-
-    @property
-    def outgoing(self) -> bool:
-        return self.signed_size < 0
-
-
 _COLUMN_TYPES = {"timestamp_us": np.int64, "signed_size": np.int64, "covered": np.bool_}
 
 
@@ -115,10 +97,6 @@ class Trace:
         )
 
     @property
-    def records(self) -> tuple[PacketRecord, ...]:
-        return tuple(map(PacketRecord, *(getattr(self, name).tolist() for name in _COLUMN_TYPES)))
-
-    @property
     def total_bytes(self) -> int:
         return int(np.abs(self.signed_size).sum())
 
@@ -145,9 +123,21 @@ _COLUMNS = (*_COLUMN_TYPES, "device")
 _WRITE_ROWS = 1 << 12  # rows formatted at a time, to bound the memory a write takes
 
 
-def write_trace(trace: Trace, path: str | Path, format: str = "jsonl") -> None:
+def _trace_format(path: str | Path, format: str | None) -> str:
+    """``format`` if given, else csv for a ``.csv`` suffix and jsonl for any other."""
+    if format is None:
+        format = "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
+    if format not in ("jsonl", "csv"):
+        raise TraceFormatError(f"unknown trace format {format!r}")
+    return format
+
+
+def write_trace(trace: Trace, path: str | Path, format: str | None = None) -> None:
+    """Write a jsonl or csv trace file; the format follows the suffix unless
+    ``format`` is given."""
     # A line is the timestamp plus a text fixed by (signed_size, covered);
     # a trace has few distinct sizes, so each text is formatted once per slice.
+    format = _trace_format(path, format)
     if format == "jsonl":
         # The same bytes as json.dumps(record, sort_keys=True) for each record.
         device = json.dumps(trace.device)
@@ -157,7 +147,7 @@ def write_trace(trace: Trace, path: str | Path, format: str = "jsonl") -> None:
             flag = "true" if covered else "false"
             return f'{{"covered": {flag}, "device": {device}, "signed_size": {size}, "timestamp_us": '
 
-    elif format == "csv":
+    else:
         # The same bytes as csv.writer: its quoting of the device, its \r\n.
         buffer = io.StringIO()
         csv.writer(buffer).writerows([_COLUMNS, (0, trace.device)])
@@ -168,8 +158,6 @@ def write_trace(trace: Trace, path: str | Path, format: str = "jsonl") -> None:
         def text(size, covered):
             return f"{size},{int(covered)},{device}"
 
-    else:
-        raise TraceFormatError(f"unknown trace format {format!r}")
     with open(path, "w", newline=newline) as fh:
         fh.write(header)
         for start in range(0, len(trace), _WRITE_ROWS):
@@ -221,12 +209,7 @@ def ingest_trace(
 ) -> Trace:
     """Load and validate one device's trace from a jsonl or csv file. Errors
     name the line of the first bad record."""
-    path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise TraceFormatError(f"unknown trace format {format!r}")
-
+    format = _trace_format(path, format)
     lines, timestamps, sizes, covered = [], [], [], []
     device = None
     with open(path, newline="") as fh:
@@ -248,6 +231,19 @@ def ingest_trace(
         return Trace(timestamps, sizes, covered, device, header_bytes)
     except TraceRecordError as exc:
         raise TraceFormatError(exc.reason, line=lines[exc.index]) from exc
+
+
+def traces_by_device(paths, traces, key: str = "traces") -> dict[str, Trace]:
+    """The traces read from ``paths``, in order, keyed by device. Two files
+    that hold the same device raise ConfigurationError naming both; a
+    generator of traces is read no further than that."""
+    found: dict[str, Trace] = {}
+    for path, trace in zip(paths, traces):
+        if trace.device in found:
+            first = paths[list(found).index(trace.device)]
+            raise ConfigurationError(f"{key}: {first} and {path} both hold {trace.device!r}")
+        found[trace.device] = trace
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -227,15 +227,15 @@ def test_criterion_08_cover_matches_reference_volume():
 
     def volumes(trace):
         vols = {}
-        for rec in trace.records:
-            idx = rec.timestamp_us // window_us
-            vols[idx] = vols.get(idx, 0) + rec.size
+        for ts, size in zip(trace.timestamp_us.tolist(), trace.signed_size.tolist()):
+            idx = ts // window_us
+            vols[idx] = vols.get(idx, 0) + abs(size)
         return vols
 
     before = volumes(target)
     after = volumes(result.trace)
     wanted = volumes(reference)
-    max_packet = max(rec.size for rec in target.records)
+    max_packet = max(abs(size) for size in target.signed_size.tolist())
     topped_up = 0
     for idx in sorted(set(before) | set(after) | set(wanted)):
         b = before.get(idx, 0)

@@ -29,8 +29,8 @@ def bucket_windows(trace, window_s, vector_len):
     """The per-record bucket loop the column cut replaced."""
     width = window_us(window_s)
     buckets = {}
-    for rec in trace.records:
-        buckets.setdefault(rec.timestamp_us // width, []).append(rec.signed_size)
+    for ts, size in zip(trace.timestamp_us.tolist(), trace.signed_size.tolist()):
+        buckets.setdefault(ts // width, []).append(size)
     vectors = []
     for idx in sorted(buckets):
         sizes = buckets[idx]

@@ -92,8 +92,7 @@ class TestTracesimCli:
             ]
         )
         assert code == 0
-        covered = [r for r in ingest_trace(out).records if r.covered]
-        assert covered
+        assert ingest_trace(out).covered.any()
 
     def test_cover_window_below_one_microsecond_fails_cleanly(self, synth_pair, tmp_path, capsys):
         out = tmp_path / "cov.jsonl"
@@ -117,6 +116,15 @@ class TestTracesimCli:
         path.write_text(json.dumps({**profile, "colour": "red"}))
         assert main_tracesim(args) == 1
         assert "error: --profile.colour: unknown key" in capsys.readouterr().err
+
+    def test_csv_suffix_round_trips(self, tmp_path):
+        raw, padded = tmp_path / "raw.csv", tmp_path / "pad.csv"
+        synth = ["synth", "--profile", "bulb-like", "--duration", "60", "--out", str(raw)]
+        assert main_tracesim(synth) == 0
+        assert raw.read_text().startswith("timestamp_us,signed_size,covered,device\n")
+        assert main_tracesim(["pad", "--in", str(raw), "--seed", "4", "--out", str(padded)]) == 0
+        assert padded.read_text().startswith("timestamp_us,signed_size,covered,device\n")
+        assert ingest_trace(padded).total_bytes > ingest_trace(raw).total_bytes
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         code = main_tracesim(
@@ -149,6 +157,25 @@ def test_bad_flag_reported_before_missing_files(tmp_path, capsys, main, args, na
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}") and "Traceback" not in err
+    assert "nonexistent" not in err
+
+
+@pytest.mark.parametrize(
+    "main,argv,flag",
+    [
+        (main_tracesim, ["obfuscate", "--time-overhead", "-1"], "--time-overhead"),
+        (main_tracesim, ["obfuscate", "--header-bytes", "-5"], "--header-bytes"),
+        (main_tracesim, ["pad", "--mtu-frame", "0"], "--mtu-frame"),
+        (main_tracesim, ["pad", "--header-bytes", "-5"], "--header-bytes"),
+        (main_attackeval, ["run", "--header-bytes", "-5"], "--header-bytes"),
+    ],
+)
+def test_flag_checked_before_the_input_is_read(tmp_path, capsys, main, argv, flag):
+    missing = str(tmp_path / "nonexistent.jsonl")
+    inputs = ["--in", missing] if main is main_tracesim else ["--traces", missing, missing]
+    assert main([*argv, *inputs, "--out", str(tmp_path / "out.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}:") and "Traceback" not in err
     assert "nonexistent" not in err
 
 
@@ -188,6 +215,24 @@ class TestAttackevalCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: max_depth") and "Traceback" not in err
+        assert not out.exists()
+
+
+    def test_same_device_in_two_files_is_rejected(self, synth_pair, tmp_path, capsys):
+        again = tmp_path / "again.jsonl"
+        synth = ["synth", "--profile", "bulb-like", "--duration", "120", "--seed", "9"]
+        assert main_tracesim([*synth, "--out", str(again)]) == 0
+        capsys.readouterr()
+        first, other = str(synth_pair["bulb-like"]), str(synth_pair["plug-like"])
+        out = tmp_path / "metrics.json"
+        code = main_attackeval(
+            ["run", "--traces", first, other, str(again), "--window", "10", "--trees", "5",
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --traces:") and "Traceback" not in err
+        assert first in err and str(again) in err and other not in err
         assert not out.exists()
 
 

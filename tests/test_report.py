@@ -65,8 +65,7 @@ class TestOverheadResult:
     def test_cover_bytes_deducted(self):
         row = OverheadResult(w_b=1000, d_b=1700, w_t_us=10, d_t_us=12, cover_bytes=200)
         assert row.b == Fraction(500, 1000)
-        assert row.b_with_cover == Fraction(700, 1000)
-        assert row.b_with_cover - row.b == Fraction(200, 1000)
+        assert byte_overhead(row.w_b, row.d_b) - row.b == Fraction(200, 1000)
 
     def test_time_fraction(self):
         row = OverheadResult(w_b=10, d_b=10, w_t_us=1_000_000, d_t_us=1_200_000)
@@ -173,7 +172,7 @@ class TestRunExperiment:
         report = run_experiment(config, tmp_path / "out")
         row = report.overheads["segmented"]["bulb-like"]
         assert row.cover_bytes > 0
-        assert row.b_with_cover > row.b
+        assert byte_overhead(row.w_b, row.d_b) > row.b
         assert report.overheads["segmented"]["plug-like"].cover_bytes == 0
 
 

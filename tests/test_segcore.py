@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +19,7 @@ from segshield.segcore import (
     select_band,
 )
 from segshield.profiles import (
-    load_config,
     resolve_segmentation,
-    save_config,
     segmentation_profile,
     segmentation_profile_names,
 )
@@ -284,16 +283,13 @@ class TestConfigValidation:
 
 
 class TestConfigIO:
-    def test_json_roundtrip(self, tmp_path, high_bandwidth):
-        path = tmp_path / "cfg.json"
-        save_config(high_bandwidth, path)
-        assert load_config(path) == high_bandwidth
+    def test_json_roundtrip(self, high_bandwidth):
+        text = json.dumps(asdict(high_bandwidth))
+        assert resolve_segmentation(json.loads(text)) == high_bandwidth
 
     def test_dict_roundtrip(self, high_bandwidth):
-        assert resolve_segmentation(high_bandwidth.to_dict()) == high_bandwidth
+        assert resolve_segmentation(asdict(high_bandwidth)) == high_bandwidth
 
-    def test_from_dict_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"prob": 0.5}))
+    def test_from_dict_rejects_garbage(self):
         with pytest.raises(ValueError):
-            load_config(path)
+            resolve_segmentation({"prob": 0.5})

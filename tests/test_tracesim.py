@@ -3,7 +3,7 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,10 @@ from hypothesis import given, strategies as st
 
 from conftest import small_traces
 from segshield.errors import ConfigurationError, TraceFormatError, TraceRecordError
-from segshield.profiles import DeviceProfile, load_profile
+from segshield.profiles import DeviceProfile, resolve_device
 from segshield.segcore import LevelBand, SegmentationConfig
 from segshield import tracesim
 from segshield.tracesim import (
-    PacketRecord,
     Trace,
     _window_volumes,
     ingest_trace,
@@ -33,20 +32,26 @@ def mk_trace(sizes, device="dev", step_us=1000, header_bytes=82):
     return Trace(np.arange(n) * step_us, sizes, np.zeros(n, bool), device, header_bytes)
 
 
+def as_rows(trace):
+    """(timestamp_us, signed_size, covered) for each record, as Python values."""
+    columns = (trace.timestamp_us, trace.signed_size, trace.covered)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def bucket_volumes(trace, width):
     """The per-record bucket loop the column sums replaced."""
     vols = {}
-    for r in trace.records:
-        idx = r.timestamp_us // width
-        vols[idx] = vols.get(idx, 0) + r.size
+    for ts, size, _ in as_rows(trace):
+        idx = ts // width
+        vols[idx] = vols.get(idx, 0) + abs(size)
     return vols
 
 
 def bucket_cover(target, reference, width, rng):
-    """Cover injection as a per-record loop: (merged records, cover bytes)."""
+    """Cover injection as a per-record loop: (merged trace, cover bytes)."""
     target_vols = bucket_volumes(target, width)
     reference_vols = bucket_volumes(reference, width)
-    pool = [(r.size, -1 if r.outgoing else 1) for r in target.records]
+    pool = [(abs(size), -1 if size < 0 else 1) for _, size, _ in as_rows(target)]
     cover = []
     cover_bytes = 0
     for idx in sorted(reference_vols):
@@ -54,11 +59,11 @@ def bucket_cover(target, reference, width, rng):
         while deficit > 0:
             size, sign = pool[rng.randrange(len(pool))]
             ts = idx * width + rng.randrange(width)
-            cover.append(PacketRecord(ts, sign * size, covered=True))
+            cover.append((ts, sign * size, True))
             cover_bytes += size
             deficit -= size
-    merged = sorted([*target.records, *cover], key=lambda r: r.timestamp_us)
-    return tuple(merged), cover_bytes
+    merged = sorted([*as_rows(target), *cover], key=lambda r: r[0])
+    return Trace(*zip(*merged), target.device, target.header_bytes), cover_bytes
 
 
 FLAT_PROFILE = DeviceProfile(
@@ -74,11 +79,6 @@ class TestRecordAndTrace:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError, match="record 0: timestamp_us -1"):
             Trace([-1], [100], [False], "d")
-
-    def test_direction_from_sign(self):
-        assert PacketRecord(0, -70).outgoing is True
-        assert PacketRecord(0, 70).outgoing is False
-        assert PacketRecord(0, -70).size == 70
 
     def test_trace_rejects_unsorted(self):
         with pytest.raises(ValueError, match="record 1: timestamp_us 50"):
@@ -120,9 +120,9 @@ class TestRecordAndTrace:
         with pytest.raises(ValueError):
             trace.signed_size[0] = 0
 
-    def test_records_view_and_equality(self):
+    def test_equality_compares_every_field(self):
         trace = Trace([0, 7], [60, -70], [False, True], "d", 54)
-        assert trace.records == (PacketRecord(0, 60), PacketRecord(7, -70, covered=True))
+        assert as_rows(trace) == [(0, 60, False), (7, -70, True)]
         assert trace == Trace([0, 7], [60, -70], [False, True], "d", 54)
         assert trace != Trace([0, 7], [60, -70], [False, False], "d", 54)
         assert trace != Trace([0, 7], [60, -70], [False, True], "e", 54)
@@ -141,9 +141,7 @@ class TestTraceIO:
         trace = mk_trace([130, -116, 144])
         path = tmp_path / "t.jsonl"
         write_trace(trace, path)
-        back = ingest_trace(path)
-        assert back.records == trace.records
-        assert back.device == trace.device
+        assert ingest_trace(path) == trace
 
     @pytest.mark.parametrize(
         "name,text", [("e.jsonl", "\n"), ("e.csv", "timestamp_us,signed_size,covered,device\n")]
@@ -158,7 +156,7 @@ class TestTraceIO:
         trace = mk_trace([130, -116, 144])
         path = tmp_path / "t.csv"
         write_trace(trace, path, format="csv")
-        assert ingest_trace(path).records == trace.records
+        assert ingest_trace(path) == trace
 
     @pytest.mark.parametrize("device", ["dev", 'a%d "b",c', "", " é\nx"])
     @pytest.mark.parametrize("rows", [1, 2, 7])
@@ -170,15 +168,17 @@ class TestTraceIO:
         )
         write_trace(trace, tmp_path / "t.jsonl")
         write_trace(trace, tmp_path / "t.csv", format="csv")
+        keys = ("timestamp_us", "signed_size", "covered")
         lines = [
-            json.dumps({**vars(r), "device": device}, sort_keys=True) + "\n" for r in trace.records
+            json.dumps({**dict(zip(keys, row)), "device": device}, sort_keys=True) + "\n"
+            for row in as_rows(trace)
         ]
         assert (tmp_path / "t.jsonl").read_text() == "".join(lines)
         with open(tmp_path / "expected.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestamp_us", "signed_size", "covered", "device"])
             writer.writerows(
-                (r.timestamp_us, r.signed_size, int(r.covered), device) for r in trace.records
+                (ts, size, int(covered), device) for ts, size, covered in as_rows(trace)
             )
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
@@ -224,7 +224,7 @@ class TestTraceIO:
     def test_whole_float_reads_as_integer(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"timestamp_us": 10.0, "signed_size": -60.0, "device": "d"}\n')
-        assert ingest_trace(path).records == (PacketRecord(10, -60),)
+        assert ingest_trace(path) == Trace([10], [-60], [False], "d")
 
     def test_rule_error_names_line_past_blank_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -300,8 +300,8 @@ class TestDeviceProfile:
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(FLAT_PROFILE.to_dict()))
-        assert load_profile(path) == FLAT_PROFILE
+        path.write_text(json.dumps(asdict(FLAT_PROFILE)))
+        assert resolve_device(json.loads(path.read_text())) == FLAT_PROFILE
 
 
 class TestSynthesize:
@@ -312,12 +312,12 @@ class TestSynthesize:
 
     def test_single_length_distribution(self):
         trace = synthesize_trace(FLAT_PROFILE, 30.0, rng=1)
-        assert {r.size for r in trace.records} == {130}
+        assert set(np.abs(trace.signed_size).tolist()) == {130}
 
     def test_deterministic_given_seed(self):
         one = synthesize_trace(FLAT_PROFILE, 30.0, rng=9)
         two = synthesize_trace(FLAT_PROFILE, 30.0, rng=9)
-        assert one.records == two.records
+        assert one == two
 
     def test_rejects_zero_duration(self):
         with pytest.raises(ValueError):
@@ -325,7 +325,7 @@ class TestSynthesize:
 
     def test_direction_mix(self):
         trace = synthesize_trace(FLAT_PROFILE, 600.0, rng=3)
-        outgoing = sum(r.outgoing for r in trace.records) / len(trace)
+        outgoing = (trace.signed_size < 0).mean()
         assert abs(outgoing - 0.3) < 0.05
 
 
@@ -334,24 +334,22 @@ class TestObfuscate:
         trace = mk_trace([130, -116, 144])
         config = SegmentationConfig(prob=0.0, bands=(LevelBand(5, 20),))
         out = obfuscate_trace(trace, config, time_overhead=0.2, rng=0)
-        assert [r.signed_size for r in out.records] == [130, -116, 144]
-        assert [r.timestamp_us for r in out.records] == [
-            round(r.timestamp_us * 1.2) for r in trace.records
-        ]
+        assert out.signed_size.tolist() == [130, -116, 144]
+        assert out.timestamp_us.tolist() == [round(ts * 1.2) for ts in trace.timestamp_us.tolist()]
 
     def test_single_frame_chunks_frozen_seed(self, low_bandwidth):
         # 130-byte frame, 82-byte header: the 48-byte payload splits into
         # 3..10 chunks; with this seed every chunk stays >= min_seg.
         trace = mk_trace([130])
         out = obfuscate_trace(trace, low_bandwidth, 0.2, rng=1)
-        sizes = [r.size for r in out.records]
+        sizes = np.abs(out.signed_size).tolist()
         assert sizes == [89, 95, 90, 102]
         assert all(87 <= s <= 102 for s in sizes)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_single_frame_chunk_ranges(self, low_bandwidth, seed):
         out = obfuscate_trace(mk_trace([130]), low_bandwidth, 0.2, rng=seed)
-        sizes = [r.size for r in out.records]
+        sizes = np.abs(out.signed_size).tolist()
         if len(sizes) > 1:
             assert 3 <= len(sizes) <= 10
             # non-final chunks sit in the band; the tail may fold short
@@ -372,12 +370,10 @@ class TestObfuscate:
     def test_direction_and_order_preserved(self, low_bandwidth):
         trace = mk_trace([130, -400, 144])
         out = obfuscate_trace(trace, low_bandwidth, 0.2, rng=2)
-        signs = {r.timestamp_us: r.signed_size > 0 for r in out.records}
-        stamps = [r.timestamp_us for r in out.records]
+        signs = {ts: size > 0 for ts, size, _ in as_rows(out)}
+        stamps = out.timestamp_us.tolist()
         assert stamps == sorted(stamps)
-        assert all(
-            (r.signed_size > 0) == signs[r.timestamp_us] for r in out.records
-        )
+        assert all((size > 0) == signs[ts] for ts, size, _ in as_rows(out))
 
     def test_header_swallowing_frame_rejected(self, low_bandwidth):
         trace = mk_trace([82, 130])
@@ -390,9 +386,8 @@ class TestObfuscate:
 
     def test_deterministic(self, low_bandwidth):
         trace = mk_trace([130, 400, -144] * 20)
-        assert (
-            obfuscate_trace(trace, low_bandwidth, 0.2, rng=8).records
-            == obfuscate_trace(trace, low_bandwidth, 0.2, rng=8).records
+        assert obfuscate_trace(trace, low_bandwidth, 0.2, rng=8) == obfuscate_trace(
+            trace, low_bandwidth, 0.2, rng=8
         )
 
 
@@ -400,7 +395,7 @@ class TestPadTrace:
     def test_record_at_ceiling_unchanged(self):
         trace = mk_trace([1582, -1582])
         out = pad_trace(trace, 1582, rng=0)
-        assert [r.signed_size for r in out.records] == [1582, -1582]
+        assert out.signed_size.tolist() == [1582, -1582]
 
     def test_total_bytes_strictly_increase(self):
         trace = mk_trace([130, -116, 400])
@@ -411,8 +406,8 @@ class TestPadTrace:
     def test_timing_and_direction_unchanged(self):
         trace = mk_trace([130, -116])
         out = pad_trace(trace, 1582, rng=1)
-        assert [r.timestamp_us for r in out.records] == [0, 1000]
-        assert out.records[1].outgoing
+        assert out.timestamp_us.tolist() == [0, 1000]
+        assert out.signed_size[1] < 0
 
     def test_oversize_record_rejected(self):
         with pytest.raises(ValueError):
@@ -422,9 +417,9 @@ class TestPadTrace:
     def test_padded_sizes_bounded(self, seed):
         trace = mk_trace([130, -116, 400, 1582])
         out = pad_trace(trace, 1582, rng=seed)
-        for before, after in zip(trace.records, out.records):
-            assert before.size <= after.size <= 1582
-            assert before.outgoing == after.outgoing
+        for before, after in zip(trace.signed_size.tolist(), out.signed_size.tolist()):
+            assert abs(before) <= abs(after) <= 1582
+            assert (before < 0) == (after < 0)
 
 
 class TestCoverTraffic:
@@ -432,7 +427,7 @@ class TestCoverTraffic:
         trace = mk_trace([130, -116] * 50)
         result = inject_cover_traffic(trace, trace, window_s=30, rng=0)
         assert result.cover_bytes == 0
-        assert result.trace.records == trace.records
+        assert result.trace == trace
 
     def test_volume_matched_within_one_packet(self):
         rng = random.Random(4)
@@ -442,14 +437,12 @@ class TestCoverTraffic:
         )
         window_us = 10 * 10**6
         result = inject_cover_traffic(low, high, window_s=10, rng=7)
-        max_packet = max(r.size for r in low.records)
+        max_packet = int(np.abs(low.signed_size).max())
 
         def volumes(trace):
             out = {}
-            for r in trace.records:
-                out[r.timestamp_us // window_us] = (
-                    out.get(r.timestamp_us // window_us, 0) + r.size
-                )
+            for ts, size, _ in as_rows(trace):
+                out[ts // window_us] = out.get(ts // window_us, 0) + abs(size)
             return out
 
         ref = volumes(high)
@@ -466,13 +459,13 @@ class TestCoverTraffic:
         high = mk_trace([400] * 200, step_us=100_000)
         result = inject_cover_traffic(low, high, window_s=5, rng=3)
         assert result.cover_bytes > 0
-        assert result.trace.without_cover().records == low.records
+        assert result.trace.without_cover() == low
 
     def test_cover_sizes_come_from_target(self):
         low = mk_trace([130, -134] * 10, step_us=1_000_000)
         high = mk_trace([997] * 200, step_us=100_000)
         result = inject_cover_traffic(low, high, window_s=5, rng=9)
-        cover_sizes = {r.size for r in result.trace.records if r.covered}
+        cover_sizes = set(np.abs(result.trace.signed_size[result.trace.covered]).tolist())
         assert cover_sizes <= {130, 134}
 
     def test_asymmetric_volume_asymmetric_cover(self):
@@ -503,8 +496,8 @@ class TestCoverTraffic:
         for trace in (target, reference):
             assert _window_volumes(trace, width) == bucket_volumes(trace, width)
         result = inject_cover_traffic(target, reference, width / 1e6, rng=seed)
-        records, cover_bytes = bucket_cover(target, reference, width, random.Random(seed))
-        assert result.trace.records == records
+        expected, cover_bytes = bucket_cover(target, reference, width, random.Random(seed))
+        assert result.trace == expected
         assert result.cover_bytes == cover_bytes
         assert result.trace.device == target.device
 
@@ -525,8 +518,8 @@ class TestCoverTraffic:
         )
         rng, oracle = random.Random(seed), random.Random(seed)
         result = inject_cover_traffic(target, reference, window_s, rng=rng)
-        records, cover_bytes = bucket_cover(target, reference, window_us(window_s), oracle)
-        assert result.trace.records == records
+        expected, cover_bytes = bucket_cover(target, reference, window_us(window_s), oracle)
+        assert result.trace == expected
         assert result.cover_bytes == cover_bytes
         assert rng.getstate() == oracle.getstate()
 
@@ -542,8 +535,8 @@ class TestCoverTraffic:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tracesim, "_COVER_BLOCK_WORDS", block)
             result = inject_cover_traffic(target, reference, 0.5, rng=rng)
-        records, cover_bytes = bucket_cover(target, reference, 500_000, oracle)
-        assert result.trace.records == records
+        expected, cover_bytes = bucket_cover(target, reference, 500_000, oracle)
+        assert result.trace == expected
         assert rng.getstate() == oracle.getstate()
 
     @pytest.mark.parametrize("method", ["random", "getrandbits", "randrange", "_randbelow"])
@@ -565,5 +558,6 @@ class TestCoverTraffic:
         low = mk_trace([130] * 5, step_us=1_000_000)
         high = mk_trace([400] * 50, step_us=100_000)
         result = inject_cover_traffic(low, high, window_s=5, rng=2)
-        assert all(r.covered for r in result.trace.records if r not in low.records)
+        original = as_rows(low)
+        assert all(row[2] for row in as_rows(result.trace) if row not in original)
         assert result.original_bytes == low.total_bytes
