@@ -227,7 +227,9 @@ def main_attackeval(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="train and evaluate the forest on traces")
-    run.add_argument("--traces", nargs="+", required=True, help="one trace file per device")
+    run.add_argument(
+        "--traces", nargs="+", required=True, help="one trace file per device, two or more"
+    )
     run.add_argument("--window", type=float, default=attackeval.DEFAULT_WINDOW_S)
     run.add_argument("--veclen", type=int, default=attackeval.DEFAULT_VECTOR_LEN)
     run.add_argument("--train-fraction", type=float, default=attackeval.DEFAULT_TRAIN_FRACTION)
@@ -248,6 +250,7 @@ def main_attackeval(argv=None) -> int:
         )
         check_attack_parameters(**parameters)
         check_value(args.header_bytes, "--header-bytes", int, NON_NEGATIVE)
+        check_value(args.traces, "--traces", list, tracesim.TRACE_PATHS)
         read = (ingest_trace(path, header_bytes=args.header_bytes) for path in args.traces)
         traces = traces_by_device(args.traces, read, "--traces")
         metrics = run_attack(list(traces.values()), seed=args.seed, **parameters)

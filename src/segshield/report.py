@@ -112,10 +112,7 @@ class Report:
 
 
 _DEVICES = (list, (lambda v: len(v) >= 2, "two or more entries"))
-_TRACES = (
-    list,
-    (lambda v: len(v) >= 2 and all(isinstance(p, str) for p in v), "two or more path strings"),
-)
+_TRACES = (list, tracesim.TRACE_PATHS)
 _UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 
 

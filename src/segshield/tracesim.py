@@ -121,6 +121,7 @@ _COLUMNS = (*_COLUMN_TYPES, "device")
 
 
 _WRITE_ROWS = 1 << 12  # rows formatted at a time, to bound the memory a write takes
+_READ_BYTES = 1 << 20  # bytes of whole lines read at a time by the columnar jsonl reader
 
 
 def _trace_format(path: str | Path, format: str | None) -> str:
@@ -132,15 +133,12 @@ def _trace_format(path: str | Path, format: str | None) -> str:
     return format
 
 
-def write_trace(trace: Trace, path: str | Path, format: str | None = None) -> None:
-    """Write a jsonl or csv trace file; the format follows the suffix unless
-    ``format`` is given."""
-    # A line is the timestamp plus a text fixed by (signed_size, covered);
-    # a trace has few distinct sizes, so each text is formatted once per slice.
-    format = _trace_format(path, format)
+def _row_format(device: str, format: str):
+    """(header, newline, render) of write_trace's ``format`` for ``device``:
+    render(timestamp_us, signed_size, covered) is the text of those rows."""
     if format == "jsonl":
         # The same bytes as json.dumps(record, sort_keys=True) for each record.
-        device = json.dumps(trace.device)
+        device = json.dumps(device)
         header, newline, line = "", None, "%s%d}\n"
 
         def text(size, covered):
@@ -150,7 +148,7 @@ def write_trace(trace: Trace, path: str | Path, format: str | None = None) -> No
     else:
         # The same bytes as csv.writer: its quoting of the device, its \r\n.
         buffer = io.StringIO()
-        csv.writer(buffer).writerows([_COLUMNS, (0, trace.device)])
+        csv.writer(buffer).writerows([_COLUMNS, (0, device)])
         header, row = buffer.getvalue().split("\r\n", 1)
         device = row.removeprefix("0,")  # with the line end
         header, newline, line = header + "\r\n", "", "%d,%s"
@@ -158,16 +156,28 @@ def write_trace(trace: Trace, path: str | Path, format: str | None = None) -> No
         def text(size, covered):
             return f"{size},{int(covered)},{device}"
 
+    def render(timestamp_us, signed_size, covered) -> str:
+        # A line is the timestamp plus a text fixed by (signed_size, covered);
+        # a trace has few distinct sizes, so each text is formatted once a call.
+        sizes, size_index = np.unique(signed_size, return_inverse=True)
+        texts = np.array([text(size, c) for size in sizes.tolist() for c in (False, True)], object)
+        kinds = texts[2 * size_index + covered].tolist()
+        timestamps = timestamp_us.tolist()
+        pairs = zip(kinds, timestamps) if format == "jsonl" else zip(timestamps, kinds)
+        return line * len(timestamps) % tuple(chain.from_iterable(pairs))
+
+    return header, newline, render
+
+
+def write_trace(trace: Trace, path: str | Path, format: str | None = None) -> None:
+    """Write a jsonl or csv trace file; the format follows the suffix unless
+    ``format`` is given."""
+    header, newline, render = _row_format(trace.device, _trace_format(path, format))
     with open(path, "w", newline=newline) as fh:
         fh.write(header)
         for start in range(0, len(trace), _WRITE_ROWS):
             rows = slice(start, start + _WRITE_ROWS)
-            sizes, size_index = np.unique(trace.signed_size[rows], return_inverse=True)
-            texts = np.array([text(size, c) for size in sizes.tolist() for c in (False, True)], object)
-            kinds = texts[2 * size_index + trace.covered[rows]].tolist()
-            timestamps = trace.timestamp_us[rows].tolist()
-            pairs = zip(kinds, timestamps) if format == "jsonl" else zip(timestamps, kinds)
-            fh.write(line * len(timestamps) % tuple(chain.from_iterable(pairs)))
+            fh.write(render(trace.timestamp_us[rows], trace.signed_size[rows], trace.covered[rows]))
 
 
 def _parse_integer(value, key: str) -> int:
@@ -188,6 +198,13 @@ def _parse_covered(value) -> bool:
     return text in ("1", "true")
 
 
+def _parse_device(value) -> str:
+    """A JSON or csv string; null, a number or a missing csv field is an error."""
+    if not isinstance(value, str):
+        raise ValueError(f"device must be a string, got {value!r}")
+    return value
+
+
 def _read_rows(fh, format: str):
     """(line number, row) for each record of an open jsonl or csv file."""
     if format == "csv":
@@ -204,12 +221,9 @@ def _read_rows(fh, format: str):
                 raise TraceFormatError(f"invalid JSON: {exc}", line=lineno) from exc
 
 
-def ingest_trace(
-    path: str | Path, format: str | None = None, header_bytes: int = DEFAULT_HEADER_BYTES
-) -> Trace:
-    """Load and validate one device's trace from a jsonl or csv file. Errors
-    name the line of the first bad record."""
-    format = _trace_format(path, format)
+def _ingest_lines(path: str | Path, format: str, header_bytes: int) -> Trace:
+    """Read a jsonl or csv trace record by record, naming the line of the
+    first bad record."""
     lines, timestamps, sizes, covered = [], [], [], []
     device = None
     with open(path, newline="") as fh:
@@ -218,7 +232,7 @@ def ingest_trace(
                 timestamps.append(_parse_integer(row["timestamp_us"], "timestamp_us"))
                 sizes.append(_parse_integer(row["signed_size"], "signed_size"))
                 covered.append(_parse_covered(row.get("covered", False)))
-                label = str(row["device"])
+                label = _parse_device(row["device"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(str(exc), line=lineno) from exc
             if lines and label != device:
@@ -231,6 +245,112 @@ def ingest_trace(
         return Trace(timestamps, sizes, covered, device, header_bytes)
     except TraceRecordError as exc:
         raise TraceFormatError(exc.reason, line=lines[exc.index]) from exc
+
+
+def _line_blocks(fh):
+    """The bytes of an open binary file, in blocks of whole lines of about
+    _READ_BYTES each; a last line without its newline comes as it is."""
+    rest = b""
+    while chunk := fh.read(_READ_BYTES):
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        rest = data[cut:]
+    if rest:
+        yield rest
+
+
+def _integers_between(text, start, stop):
+    """The int64 values of the decimal numbers text[start:stop] (an optional
+    minus, then digits), or None where a span is empty or over 20 bytes.
+    Other bytes give some number; the caller checks it by rendering it."""
+    width = stop - start
+    if not len(width) or width.min() < 1 or width.max() > 20:
+        return None
+    negative = text[start] == ord("-")
+    first = start + negative
+    # uint64 holds any 19 digits; a value beyond int64 wraps and fails the check.
+    values = np.zeros(len(start), np.uint64)
+    for back in range(int(width.max()), 0, -1):
+        at = stop - back
+        digit = text[np.maximum(at, 0)] - np.uint8(ord("0"))
+        values = np.where(at >= first, values * np.uint64(10) + digit, values)
+    values = values.view(np.int64)
+    return np.where(negative, -values, values)
+
+
+def _written_block_columns(block: bytes, render):
+    """(timestamp_us, signed_size, covered) of a block of whole lines that
+    ``render`` gives back byte for byte, else None.
+
+    Each line's numbers sit after its last two colons: the size up to the
+    last comma, the timestamp up to the closing brace. The flag is at a
+    fixed offset. Whatever this finds is only kept if rendering it gives
+    the block back, and a rendered line json.loads to exactly its values.
+    """
+    text = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    colons = np.flatnonzero(text == ord(":"))
+    commas = np.flatnonzero(text == ord(","))
+    if not len(ends) or ends[-1] != len(text) - 1 or len(colons) < 2 or not len(commas):
+        return None
+    last_colon = np.maximum(np.searchsorted(colons, ends) - 1, 1)
+    last_comma = np.maximum(np.searchsorted(commas, ends) - 1, 0)
+    timestamps = _integers_between(text, colons[last_colon] + 2, ends - 1)
+    sizes = _integers_between(text, colons[last_colon - 1] + 2, commas[last_comma])
+    if timestamps is None or sizes is None:
+        return None
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    covered = text[np.minimum(starts + len('{"covered": '), len(text) - 1)] == ord("t")
+    if render(timestamps, sizes, covered).encode() != block:
+        return None
+    return timestamps, sizes, covered
+
+
+def _ingest_written_jsonl(path: str | Path, header_bytes: int) -> Trace | None:
+    """Read a jsonl file in write_trace's own line format as numpy columns,
+    a block of lines at a time; None if any block is in another form."""
+    with open(path, "rb") as fh:
+        try:
+            device = json.loads(fh.readline())["device"]
+        except (ValueError, TypeError, KeyError):
+            return None
+        if not isinstance(device, str):
+            return None
+        render = _row_format(device, "jsonl")[2]
+        fh.seek(0)
+        columns = []
+        for block in _line_blocks(fh):
+            found = _written_block_columns(block, render)
+            if found is None:
+                return None
+            columns.append(found)
+    try:
+        return Trace(*map(np.concatenate, zip(*columns)), device, header_bytes)
+    except TraceRecordError as exc:
+        raise TraceFormatError(exc.reason, line=exc.index + 1) from exc
+
+
+def ingest_trace(
+    path: str | Path, format: str | None = None, header_bytes: int = DEFAULT_HEADER_BYTES
+) -> Trace:
+    """Load and validate one device's trace from a jsonl or csv file. Errors
+    name the line of the first bad record.
+
+    A jsonl file in write_trace's own format is read as columns; any other
+    file, or one with any line in another form, is read line by line.
+    """
+    format = _trace_format(path, format)
+    trace = _ingest_written_jsonl(path, header_bytes) if format == "jsonl" else None
+    return trace if trace is not None else _ingest_lines(path, format, header_bytes)
+
+
+# The rule for a list of trace files to tell apart: checked before any is read.
+TRACE_PATHS = (
+    lambda v: len(v) >= 2 and all(isinstance(p, str) for p in v),
+    "two or more path strings",
+)
 
 
 def traces_by_device(paths, traces, key: str = "traces") -> dict[str, Trace]:

@@ -9,7 +9,7 @@ test catches that.
 import importlib.util
 from pathlib import Path
 
-from segshield import report, tracesim
+from segshield import profiles, report, tracesim
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -81,3 +81,29 @@ def test_traced_experiment_counts_every_layer_and_uninstalls(tmp_path):
     assert {name: getattr(report, name) for name in STAGES} == originals
     assert tracesim.segment_lengths is planner
     assert tracesim.Trace.__dict__["total_bytes"] is total_bytes
+
+
+def test_traced_experiment_on_trace_files_counts_every_record_read(tmp_path):
+    perfbench_tracer = _load_tracer()
+    paths, written = [], 0
+    for i, (name, suffix) in enumerate(
+        [("bulb-like", "jsonl"), ("plug-like", "jsonl"), ("doorbell-like", "csv")]
+    ):
+        trace = tracesim.synthesize_trace(profiles.device_profile(name), 120, i)
+        paths.append(str(tmp_path / f"{name}.{suffix}"))
+        tracesim.write_trace(trace, paths[-1])
+        written += len(trace)
+    config = {"seed": 3, "traces": paths, "n_trees": 3}
+
+    tracer = perfbench_tracer.Tracer()
+    tracer.reset(1)
+    tracer.install_experiment()
+    try:
+        tracer.call(
+            "report", "report.run_experiment", report.run_experiment, config, tmp_path / "out"
+        )
+    finally:
+        tracer.uninstall()
+
+    assert tracer.name_time["tracesim.ingest"] > 0
+    assert tracer.counts["tracesim.ingest_records"] == written

@@ -235,6 +235,15 @@ class TestAttackevalCli:
         assert first in err and str(again) in err and other not in err
         assert not out.exists()
 
+    def test_one_file_is_rejected_before_it_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.jsonl")
+        out = tmp_path / "metrics.json"
+        assert main_attackeval(["run", "--traces", missing, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --traces: must be two or more") and "Traceback" not in err
+        assert "No such file" not in err
+        assert not out.exists()
+
 
 class TestSegshieldCli:
     def test_experiment_writes_report(self, tmp_path):

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,72 @@ def bucket_cover(target, reference, width, rng):
             deficit -= size
     merged = sorted([*as_rows(target), *cover], key=lambda r: r[0])
     return Trace(*zip(*merged), target.device, target.header_bytes), cover_bytes
+
+
+def read_line_by_line(path, header_bytes=82):
+    """The per-line jsonl reader the columnar reader replaced for files in
+    write_trace's format: one json.loads and one check per field a line."""
+    lines, timestamps, sizes, covered = [], [], [], []
+    device = None
+    with open(path, newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"invalid JSON: {exc}", line=lineno) from exc
+            try:
+                timestamps.append(tracesim._parse_integer(row["timestamp_us"], "timestamp_us"))
+                sizes.append(tracesim._parse_integer(row["signed_size"], "signed_size"))
+                covered.append(tracesim._parse_covered(row.get("covered", False)))
+                label = str(row["device"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceFormatError(str(exc), line=lineno) from exc
+            if lines and label != device:
+                raise TraceFormatError(f"device {label!r} differs from {device!r}", line=lineno)
+            device = label
+            lines.append(lineno)
+    if not lines:
+        raise TraceFormatError(f"{path} holds no records")
+    try:
+        return Trace(timestamps, sizes, covered, device, header_bytes)
+    except TraceRecordError as exc:
+        raise TraceFormatError(exc.reason, line=lines[exc.index]) from exc
+
+
+def read_outcome(read, path):
+    """The trace ``read`` returns, or the text and line of its TraceFormatError."""
+    try:
+        return read(path)
+    except TraceFormatError as exc:
+        return str(exc), exc.line
+
+
+def refuse_line_by_line(*args):
+    raise AssertionError("read line by line")
+
+
+def written_line(row, **changes):
+    """A record as write_trace writes it, with ``changes`` made."""
+    return json.dumps({**row, **changes}, sort_keys=True) + "\n"
+
+
+# Ways to break one line of a written file; each gets (record, previous timestamp).
+LINE_BREAKS = {
+    "none": lambda row, before: written_line(row),
+    "key order": lambda row, before: json.dumps(dict(reversed(row.items()))) + "\n",
+    "spacing": lambda row, before: json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n",
+    "blank line": lambda row, before: "\n" + written_line(row),
+    "crlf": lambda row, before: written_line(row)[:-1] + "\r\n",
+    "whole float": lambda row, before: written_line(row, signed_size=float(row["signed_size"])),
+    "true for a number": lambda row, before: written_line(row, timestamp_us=True),
+    "second device": lambda row, before: written_line(row, device=row["device"] + "2"),
+    "beyond int64": lambda row, before: written_line(row, timestamp_us=2**63),
+    "invalid json": lambda row, before: written_line(row)[:-3] + "\n",
+    "decreasing timestamp": lambda row, before: written_line(row, timestamp_us=before - 1),
+    "zero size": lambda row, before: written_line(row, signed_size=0),
+}
 
 
 FLAT_PROFILE = DeviceProfile(
@@ -273,6 +340,73 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError) as err:
             ingest_trace(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("value", [None, 7, ["d"]])
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_jsonl_device_must_be_a_string(self, tmp_path, value, line):
+        path = tmp_path / "t.jsonl"
+        rows = [
+            {"covered": False, "device": "d", "signed_size": 60, "timestamp_us": ts} for ts in (0, 10)
+        ]
+        rows[line - 1]["device"] = value
+        path.write_text("".join(map(written_line, rows)))
+        with pytest.raises(TraceFormatError, match=f"line {line}: device must be a string") as err:
+            ingest_trace(path)
+        assert err.value.line == line
+
+    def test_csv_row_without_its_device_field(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp_us,signed_size,covered,device\n0,60,0,d\n10,60,0\n")
+        with pytest.raises(TraceFormatError, match="line 3: device must be a string") as err:
+            ingest_trace(path)
+        assert err.value.line == 3
+
+    @given(
+        trace=st.sampled_from(["dev", 'a%d "b",c', "é: x"]).flatmap(
+            lambda device: small_traces(device=device)
+        ),
+        data=st.data(),
+        block=st.sampled_from([1, 97, 1 << 20]),
+    )
+    def test_reads_what_the_per_line_reader_reads(self, tmp_path_factory, trace, data, block):
+        path = tmp_path_factory.mktemp("drawn") / "t.jsonl"
+        write_trace(trace, path)
+        if len(trace):
+            lines = path.read_text().splitlines(keepends=True)
+            i = data.draw(st.integers(0, len(lines) - 1), label="line")
+            broken = data.draw(st.sampled_from(sorted(LINE_BREAKS)), label="break")
+            before = int(trace.timestamp_us[i - 1]) if i else 0
+            lines[i] = LINE_BREAKS[broken](json.loads(lines[i]), before)
+            path.write_text("".join(lines))
+        with mock.patch.object(tracesim, "_READ_BYTES", block):
+            assert read_outcome(ingest_trace, path) == read_outcome(read_line_by_line, path)
+
+    @pytest.mark.parametrize("device", ["dev", 'say "%d%%" or "%s"', "é ü ☃ 设备"])
+    @pytest.mark.parametrize("rows", [1, 4096, 10_000])
+    @pytest.mark.parametrize("shift", [None, -1, 0, 1])
+    def test_written_files_are_read_as_columns(self, tmp_path, monkeypatch, device, rows, shift):
+        rng = np.random.default_rng(rows)
+        timestamps = np.sort(rng.integers(0, 2**63 - 1, rows) >> rng.integers(0, 63, rows))
+        sizes = rng.integers(-(2**63), 2**63 - 1, rows) >> rng.integers(0, 64, rows)
+        trace = Trace(timestamps, np.where(sizes == 0, 1, sizes), rng.random(rows) < 0.3, device)
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, path)
+        if shift is not None:  # a block ends just before, at or just after a line's end
+            line_end = sum(map(len, path.read_bytes().splitlines(keepends=True)[:4096]))
+            monkeypatch.setattr(tracesim, "_READ_BYTES", line_end + shift)
+        monkeypatch.setattr(tracesim, "_ingest_lines", refuse_line_by_line)
+        assert ingest_trace(path, header_bytes=54) == replace(trace, header_bytes=54)
+
+    def test_rule_error_in_a_written_file_names_its_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        write_trace(mk_trace([130, -116, 144, 60]), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = written_line(json.loads(lines[2]), signed_size=0)
+        path.write_text("".join(lines))
+        monkeypatch.setattr(tracesim, "_ingest_lines", refuse_line_by_line)
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert str(err.value) == "line 3: signed_size must be nonzero"
 
 
 class TestDeviceProfile:
