@@ -7,24 +7,31 @@ forest can be checked exactly against an exhaustive split search.
 
 A forest is a set of flat node arrays (feature, threshold, left, right,
 label), one entry per node and the trees back to back, as in scikit-learn's
-tree. Trees grow from an explicit stack, so depth is bounded by memory, not
-by the interpreter's recursion limit. Each node's split search sorts and
-accumulates class counts for all candidate features in one numpy pass; the
-scores are integer squared class counts with one float division per side,
-so they are bit-identical to a per-feature loop (kept in the tests as the
-reference). Prediction routes every (row, tree) pair one level at a time.
+tree. Each tree grows from its own explicit stack, so depth is bounded by
+memory, not by the interpreter's recursion limit. The trees of a forest grow
+in lockstep: at each step every tree pops nodes up to the next one that
+needs a split, and one batched search serves all of those nodes. It packs
+each (node, candidate feature, row) entry with its value rank and class into
+one integer, sorts them all at once, and scores every place where the rank
+changes inside a (node, feature) group from running class counts. Scores are
+integer squared class counts with one float division per side, so they are
+bit-identical to a per-feature loop, and the forest is the one a
+tree-by-tree loop grows (both kept in the tests as references). Prediction
+routes every (row, tree) pair one level at a time.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from math import isqrt
-from typing import Sequence
+from numbers import Integral
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import derive_seed, make_rng
+from .rng import RawWords, below_draws, derive_seed, make_rng
 from .tracesim import Trace, window_us
 
 DEFAULT_VECTOR_LEN = 200
@@ -43,7 +50,27 @@ class FeatureVector:
     packet_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = tuple(self.values)
+        # Python ints pass as they are; anything else is checked one by one.
+        if not set(map(type, values)) <= {int}:
+            for i, v in enumerate(values):
+                try:
+                    integral = not isinstance(v, (bool, np.bool_)) and int(v) == v
+                except (TypeError, ValueError, OverflowError):
+                    integral = False
+                if not integral:
+                    raise ValueError(f"values[{i}] must be an integer, got {v!r}")
+            values = tuple(int(v) for v in values)
+        object.__setattr__(self, "values", values)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (not
+    a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 def check_attack_parameters(
@@ -57,14 +84,12 @@ def check_attack_parameters(
     before it reads any trace. Raise ValueError naming the first bad one;
     return the window width in microseconds."""
     width = window_us(window_s)
-    if vector_len <= 0:
-        raise ValueError("vector_len must be positive")
+    _check_int("vector_len", vector_len, 1)
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be strictly between 0 and 1")
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    if max_depth is not None and max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1 or None, got {max_depth!r}")
+    _check_int("n_trees", n_trees, 1)
+    if max_depth is not None:
+        _check_int("max_depth", max_depth, 1)
     return width
 
 
@@ -161,92 +186,306 @@ class TreeNode:
         return None if self.is_leaf else TreeNode(self.nodes, int(self.nodes.right[self.index]))
 
 
+# Entries, i.e. (node, candidate feature, row) triples, that one batched
+# split search sorts at most, which keeps its working arrays under 1 MB. A
+# node with more entries is searched alone. On the exp-pair training sets,
+# half this cap trained about 20 % slower and twice it no faster.
+_SEARCH_ENTRIES = 1 << 13
+
+
+def _rank_keys(XT: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry of ``XT`` (features x samples) as the rank of its value
+    among the distinct values, shifted left past the class bits, or'd with
+    its sample's label; and the distinct values, ascending, as floats."""
+    distinct = np.unique(XT)
+    class_bits = (n_classes - 1).bit_length()
+    keys = np.searchsorted(distinct, XT)
+    if len(distinct) << class_bits < 2**31:
+        keys = keys.astype(np.int32)
+    keys <<= class_bits
+    keys |= y.astype(keys.dtype)
+    return keys, distinct.astype(np.float64)
+
+
+def _search_splits(
+    keys: np.ndarray,
+    values: np.ndarray,
+    counts: np.ndarray,
+    rows: Sequence[np.ndarray],
+    candidates: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive best split of each node of a batch, in one sort.
+
+    ``keys`` and ``values`` come from ``_rank_keys``, and ``counts`` holds
+    each node's class counts. Node b holds the samples ``rows[b]`` and
+    searches the ascending features ``candidates[b]``. Returns, per node,
+    the position in ``candidates[b]`` of the split feature (-1 when none
+    varies) and the threshold.
+
+    Each (node, candidate feature) pair is a group, and each of its rows
+    one entry: the row's key plus the group's offset, so the entry is
+    (group, rank, class) packed in one integer. One sort puts every group in
+    value order; a split can fall wherever the rank changes inside a group,
+    and a running count of each class gives the class counts left of it.
+    The score to maximize, sum(left_counts^2)/n_left +
+    sum(right_counts^2)/n_right, is equivalent to minimizing weighted Gini
+    impurity. Squared counts stay in integers; ties resolve to the lowest
+    feature, then the lowest threshold.
+    """
+    n_nodes, n_classes = counts.shape
+    n_candidates = candidates.shape[1]
+    class_bits = (n_classes - 1).bit_length()
+    if n_nodes == 1:
+        return _search_one(keys, values, counts[0], rows[0], candidates[0], class_bits)
+    stride = len(values) << class_bits  # the keys of one group
+    offset = np.arange(0, candidates.size * stride, stride).reshape(candidates.shape)
+    if candidates.size * stride < 2**31:
+        offset = offset.astype(np.int32)  # a 32-bit sort takes half as long
+    n_rows = [len(r) for r in rows]
+    row_node = np.arange(n_nodes).repeat(n_rows)
+    index = (candidates * keys.shape[1])[row_node] + np.concatenate(rows)[:, None]
+    key = (keys.ravel()[index] + offset[row_node]).ravel()
+    key.sort()
+    slot = key >> class_bits  # group * len(values) + rank
+    group_rows = np.repeat(n_rows, n_candidates)
+    group_end = group_rows.cumsum()
+    change = slot[1:] != slot[:-1]
+    change[group_end[:-1] - 1] = False  # the last entry of a group
+    at = change.nonzero()[0]  # a split between entries at and at + 1
+    column = np.full(n_nodes, -1)
+    threshold = np.zeros(n_nodes)
+    if not len(at):
+        return column, threshold
+    group = slot[at] // len(values)
+    node = group // n_candidates
+    start = (group_end - group_rows)[group]
+    n_left = at + 1 - start
+    n_right = group_rows[group] - n_left
+    # Class 0 by subtraction; every other class from its running count.
+    label = key & ((1 << class_bits) - 1)
+    running = np.zeros(len(key) + 1, np.int64)
+    left_0 = n_left
+    left_sq = right_sq = 0
+    for c in range(1, n_classes):
+        np.cumsum(label == c, out=running[1:])
+        left = running[at + 1] - running[start]
+        right = counts[:, c][node] - left
+        left_0 = left_0 - left
+        left_sq = left_sq + left * left
+        right_sq = right_sq + right * right
+    right_0 = counts[:, 0][node] - left_0
+    score = (left_sq + left_0 * left_0) / n_left + (right_sq + right_0 * right_0) / n_right
+    # The first maximum of each node's run of scores.
+    first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    top = np.zeros(n_nodes)
+    top[node[first]] = np.maximum.reduceat(score, first)
+    hit = np.flatnonzero(score == top[node])
+    best = hit[np.concatenate(([True], node[hit[1:]] != node[hit[:-1]]))]
+    at, group, node = at[best], group[best], node[best]
+    column[node] = group % n_candidates
+    base = group * len(values)
+    threshold[node] = (values[slot[at] - base] + values[slot[at + 1] - base]) / 2.0
+    return column, threshold
+
+
+def _search_one(
+    keys: np.ndarray,
+    values: np.ndarray,
+    counts: np.ndarray,
+    rows: np.ndarray,
+    candidates: np.ndarray,
+    class_bits: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_search_splits`` on one node, which has the least fixed cost: one
+    row of entries per candidate feature, sorted row by row, and a score at
+    every position."""
+    key = keys[candidates[:, None], rows]
+    key.sort(axis=1)
+    slot = key >> class_bits
+    label = key & ((1 << class_bits) - 1)
+    n_left = np.arange(1, len(rows))
+    left_0 = n_left
+    left_sq = right_sq = 0
+    for c in range(1, len(counts)):
+        left = (label[:, :-1] == c).cumsum(axis=1)
+        right = counts[c] - left
+        left_0 = left_0 - left
+        left_sq = left_sq + left * left
+        right_sq = right_sq + right * right
+    right_0 = counts[0] - left_0
+    score = (left_sq + left_0 * left_0) / n_left + (right_sq + right_0 * right_0) / (
+        len(rows) - n_left
+    )
+    # Every real score is positive; -1 marks a cut between equal values.
+    score[slot[:, 1:] == slot[:, :-1]] = -1.0
+    row, b = divmod(int(score.argmax()), len(rows) - 1)
+    if score[row, b] < 0:
+        return np.array([-1]), np.zeros(1)
+    return np.array([row]), np.array([(values[slot[row, b]] + values[slot[row, b + 1]]) / 2.0])
+
+
 def _best_split(values: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[int, float] | None:
     """Exhaustive best split over the rows of ``values`` (one row per
     candidate feature, one column per sample), as (row, threshold), or None
-    when no row varies.
-
-    Score to maximize: sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
-    equivalent to minimizing weighted Gini impurity. Squared counts stay in
-    integers; ties resolve to the lowest row, then the lowest threshold.
-    """
-    n = len(y)
-    # Class counts are read only between distinct values, so the order
-    # within a run of equal values does not matter.
-    order = values.argsort(axis=1)
-    v_sorted = np.sort(values, axis=1)
-    classes = np.arange(n_classes)[:, None, None]
-    cum = (y[order] == classes).cumsum(axis=2, dtype=np.int64)  # (k, F, n)
-    left_counts = cum[:, :, :-1]
-    right_counts = cum[:, :, -1:] - left_counts
-    n_left = np.arange(1, n)
-    scores = (left_counts * left_counts).sum(axis=0) / n_left + (
-        right_counts * right_counts
-    ).sum(axis=0) / (n - n_left)
-    # Every real score is positive; -1 marks a cut between equal values.
-    scores[v_sorted[:, :-1] == v_sorted[:, 1:]] = -1.0
-    row, b = divmod(int(scores.argmax()), n - 1)
-    if scores[row, b] < 0:
+    when no row varies: ``_search_splits`` on one node."""
+    keys, distinct = _rank_keys(values, y, n_classes)
+    column, threshold = _search_splits(
+        keys,
+        distinct,
+        np.bincount(y, minlength=n_classes)[None, :],
+        [np.arange(len(y))],
+        np.arange(len(values))[None, :],
+    )
+    if column[0] < 0:
         return None
-    return row, (float(v_sorted[row, b]) + float(v_sorted[row, b + 1])) / 2.0
+    return int(column[0]), float(threshold[0])
 
 
-def _grow_tree(
+def _bootstrap_rows(rng: random.Random, n: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(n)]`` as one array, drawn from the
+    raw words, with ``rng`` left where those calls would leave it."""
+    words = RawWords(rng)
+    # A draw takes 2**n.bit_length() / n < 2 attempts on average.
+    size = 2 * n + 4 * isqrt(n) + 64
+    while True:
+        values, accepted, width = below_draws(words.peek(size), n)
+        taken = np.flatnonzero(accepted[::width])[:n]
+        if len(taken) == n:
+            words.advance(width * (int(taken[-1]) + 1))
+            return values[::width][taken].astype(np.int64)
+        size *= 2
+
+
+def _grow_forest(
     XT: np.ndarray,
     y: np.ndarray,
-    rows: np.ndarray,
     n_classes: int,
+    samples: Iterable[np.ndarray],
     max_depth: int | None,
     max_features: int | None,
-    rng: random.Random,
-    first: int,
-) -> ForestNodes:
-    """Grow one tree on the samples ``rows`` of ``XT`` (features x samples)
-    into flat arrays whose node ids start at ``first``. Nodes are numbered in
-    preorder, the order in which ``rng`` draws each node's candidate
-    features, so a split node's left child is the next node."""
-    n_features = len(XT)
-    feature: list[int] = []
-    threshold: list[float] = []
-    right: list[int] = []
-    label: list[int] = []
-    stack = [(rows, 0, -1)]  # (rows, depth, parent whose right child this is)
-    while stack:
-        rows, depth, parent = stack.pop()
-        node = len(label)
-        if parent >= 0:
-            right[parent] = first + node
-        y_node = y[rows]
-        counts = np.bincount(y_node, minlength=n_classes)
-        # argmax takes the first maximum, i.e. the smallest label index on ties.
-        majority = int(counts.argmax())
-        label.append(majority)
-        feature.append(-1)
-        threshold.append(0.0)
-        right.append(-1)
-        if counts[majority] == len(rows) or (max_depth is not None and depth >= max_depth):
-            continue
-        if max_features is None or max_features >= n_features:
-            feature_ids = np.arange(n_features)
-        else:
-            feature_ids = np.array(sorted(rng.sample(range(n_features), max_features)))
-        split = _best_split(XT[feature_ids[:, None], rows], y_node, n_classes)
-        if split is None:
-            continue
-        column, cut = split
-        feature[node] = f = int(feature_ids[column])
-        threshold[node] = cut
-        goes_left = XT[f, rows] <= cut
-        stack.append((rows[~goes_left], depth + 1, node))
-        stack.append((rows[goes_left], depth + 1, -1))
-    splits = np.array(feature, dtype=np.int64)
-    return ForestNodes(
-        feature=splits,
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.where(splits >= 0, first + np.arange(1, len(label) + 1), -1),
-        right=np.array(right, dtype=np.int64),
-        label=np.array(label, dtype=np.int64),
+    rngs: Sequence[random.Random],
+) -> tuple[ForestNodes, tuple[int, ...]]:
+    """Grow one tree per entry of ``samples`` (its rows of ``XT``, features
+    x samples) in lockstep; return their nodes back to back and the root of
+    each.
+
+    Each tree grows from its own explicit stack and numbers its nodes in
+    preorder, the order in which its ``rngs`` entry draws each node's
+    candidate features, so a split node's left child is the next node. At
+    each step every tree pops nodes up to the next one that needs a split
+    search, and batched searches serve all of those nodes. ``max_features``
+    None searches every feature, with no draw.
+    """
+    keys, values = _rank_keys(XT, y, n_classes)
+    all_features = np.arange(len(XT))
+    # Per tree: (rows, depth, parent whose right child this is, class counts).
+    stacks = [
+        [(rows, 0, -1, np.bincount(y[rows], minlength=n_classes).tolist())] for rows in samples
+    ]
+    # Per tree: the feature, threshold, right child and label of each node.
+    trees = [([], [], [], []) for _ in stacks]
+    growing = list(range(len(stacks)))
+    while growing:
+        batch: list[tuple] = []  # (tree, node, rows, counts, depth, candidates)
+        entries = 0
+        for t in growing:
+            feature, threshold, right, label = trees[t]
+            stack = stacks[t]
+            while stack:
+                rows, depth, parent, counts = stack.pop()
+                node = len(label)
+                if parent >= 0:
+                    right[parent] = node
+                # The first maximum, i.e. the smallest label index on ties.
+                majority = counts.index(max(counts))
+                label.append(majority)
+                feature.append(-1)
+                threshold.append(0.0)
+                right.append(-1)
+                if counts[majority] == len(rows) or (max_depth is not None and depth >= max_depth):
+                    continue
+                if max_features is None:
+                    candidates = all_features
+                else:
+                    candidates = sorted(rngs[t].sample(range(len(XT)), max_features))
+                size = len(rows) * len(candidates)
+                if batch and entries + size > _SEARCH_ENTRIES:
+                    _split_batch(XT, keys, values, y, batch, trees, stacks)
+                    batch, entries = [], 0
+                batch.append((t, node, rows, counts, depth, candidates))
+                entries += size
+                break
+        if batch:
+            _split_batch(XT, keys, values, y, batch, trees, stacks)
+        growing = [t for t in growing if stacks[t]]
+
+    sizes = [len(label) for _, _, _, label in trees]
+    first = np.cumsum(sizes) - sizes
+    feature, threshold, right, label = (
+        np.array(list(chain.from_iterable(column)), dtype)
+        for column, dtype in zip(zip(*trees), (np.int64, np.float64, np.int64, np.int64))
     )
+    return ForestNodes(
+        feature=feature,
+        threshold=threshold,
+        left=np.where(feature >= 0, np.arange(1, len(feature) + 1), -1),
+        right=np.where(right >= 0, right + np.repeat(first, sizes), -1),
+        label=label,
+    ), tuple(first.tolist())
+
+
+def _split_batch(
+    XT: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    y: np.ndarray,
+    batch: list[tuple],
+    trees: list[tuple[list, list, list, list]],
+    stacks: list[list[tuple]],
+) -> None:
+    """Search a batch of popped nodes, and split each node that has a split:
+    record its feature and threshold, and push its right, then its left
+    child onto its tree's stack."""
+    counts = np.array([item[3] for item in batch])
+    candidates = np.array([item[5] for item in batch])
+    rows = [item[2] for item in batch]
+    column, threshold = _search_splits(keys, values, counts, rows, candidates)
+    split = (column >= 0).nonzero()[0]
+    if not len(split):
+        return
+    feature = candidates[split, column[split]]
+    threshold = threshold[split]
+    n_classes = counts.shape[1]
+    if len(split) == 1:  # the common step of a one-tree forest, with the least fixed cost
+        at = rows[split[0]]
+        goes_left = XT[feature[0], at] <= threshold[0]
+        left_rows, right_rows = at[goes_left], at[~goes_left]
+        left_counts = np.bincount(y[left_rows], minlength=n_classes)[None, :]
+    else:
+        rows = [rows[b] for b in split.tolist()]
+        at = np.concatenate(rows)
+        row_split = np.arange(len(rows)).repeat([len(r) for r in rows])
+        goes_left = XT.ravel()[(feature * XT.shape[1])[row_split] + at] <= threshold[row_split]
+        left_rows, right_rows = at[goes_left], at[~goes_left]
+        left_counts = np.bincount(
+            (y[at] + row_split * n_classes)[goes_left], minlength=len(rows) * n_classes
+        ).reshape(len(rows), n_classes)
+    right_counts = counts[split] - left_counts
+    left_end = right_end = 0
+    for b, f, cut, left, right in zip(
+        split.tolist(),
+        feature.tolist(),
+        threshold.tolist(),
+        left_counts.tolist(),
+        right_counts.tolist(),
+    ):
+        t, node, _, _, depth, _ = batch[b]
+        trees[t][0][node] = f
+        trees[t][1][node] = cut
+        left_start, left_end = left_end, left_end + sum(left)
+        right_start, right_end = right_end, right_end + sum(right)
+        stacks[t].append((right_rows[right_start:right_end], depth + 1, node, right))
+        stacks[t].append((left_rows[left_start:left_end], depth + 1, -1, left))
 
 
 @dataclass(frozen=True)
@@ -315,46 +554,39 @@ def train_forest(
     if not train:
         raise ValueError("training set is empty")
     check_attack_parameters(n_trees=n_trees, max_depth=max_depth)
-    if isinstance(max_features, str) and max_features != "sqrt":
-        raise ValueError(f"max_features must be 'sqrt', an int or None, got {max_features!r}")
-    labels = tuple(sorted({v.label for v in train}))
-    if len(labels) < 2:
-        raise ValueError(f"training set has a single class {labels[0]!r}")
-    label_index = {lab: i for i, lab in enumerate(labels)}
     n_features = len(train[0].values)
-    XT = np.ascontiguousarray(_as_matrix(train, n_features).T)
-    y = np.array([label_index[v.label] for v in train], dtype=np.int64)
-
+    if n_features == 0:
+        raise ValueError("vectors have 0 features; need at least 1")
     if max_features == "sqrt":
         n_candidates: int | None = max(isqrt(n_features), 1)
     elif max_features is None:
         n_candidates = None
+    elif isinstance(max_features, str):
+        raise ValueError(f"max_features must be 'sqrt', an int or None, got {max_features!r}")
     else:
+        _check_int("max_features", max_features, 1)
+        if max_features > n_features:
+            raise ValueError(f"max_features must be <= {n_features} features, got {max_features}")
         n_candidates = int(max_features)
-        if not 1 <= n_candidates <= n_features:
-            raise ValueError("max_features out of range")
+    if n_candidates == n_features:
+        n_candidates = None  # every feature, with no draw
+    labels = tuple(sorted({v.label for v in train}))
+    if len(labels) < 2:
+        raise ValueError(f"training set has a single class {labels[0]!r}")
+    label_index = {lab: i for i, lab in enumerate(labels)}
+    XT = np.ascontiguousarray(_as_matrix(train, n_features).T)
+    y = np.array([label_index[v.label] for v in train], dtype=np.int64)
 
     base = make_rng(rng)
     seed = base.getrandbits(63)
     n = len(train)
-    trees: list[ForestNodes] = []
-    roots: list[int] = []
-    n_nodes = 0
-    for t in range(n_trees):
-        tree_rng = random.Random(derive_seed(seed, "tree", t))
-        if bootstrap:
-            rows = np.array([tree_rng.randrange(n) for _ in range(n)], dtype=np.int64)
-        else:
-            rows = np.arange(n)
-        tree = _grow_tree(XT, y, rows, len(labels), max_depth, n_candidates, tree_rng, n_nodes)
-        trees.append(tree)
-        roots.append(n_nodes)
-        n_nodes += len(tree.label)
+    rngs = [random.Random(derive_seed(seed, "tree", t)) for t in range(n_trees)]
+    # A generator, so that no list keeps each root's rows once it is split.
+    samples = (_bootstrap_rows(r, n) if bootstrap else np.arange(n) for r in rngs)
+    nodes, roots = _grow_forest(XT, y, len(labels), samples, max_depth, n_candidates, rngs)
     return ForestModel(
-        nodes=ForestNodes(
-            *(np.concatenate([getattr(t, f.name) for t in trees]) for f in fields(ForestNodes))
-        ),
-        roots=tuple(roots),
+        nodes=nodes,
+        roots=roots,
         labels=labels,
         n_features=n_features,
         max_depth=max_depth,

@@ -1,4 +1,6 @@
 import random
+from dataclasses import fields
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -7,7 +9,12 @@ from hypothesis import given, strategies as st
 from conftest import brute_force_stump, random_vectors, small_traces
 from segshield.attackeval import (
     FeatureVector,
+    ForestNodes,
     _best_split,
+    _bootstrap_rows,
+    _rank_keys,
+    _search_splits,
+    check_attack_parameters,
     evaluate,
     extract_windows,
     f1_score,
@@ -16,6 +23,7 @@ from segshield.attackeval import (
     split_dataset,
     train_forest,
 )
+from segshield.rng import derive_seed, make_rng
 from segshield.tracesim import Trace, window_us
 
 
@@ -89,6 +97,143 @@ def walk_predict(model, vectors):
             votes[node.label_index] += 1
         out.append(model.labels[votes.index(max(votes))])
     return out
+
+
+def reference_grow_tree(XT, y, rows, n_classes, max_depth, max_features, rng, first):
+    """One tree from an explicit stack, one node and one split search at a
+    time: the loop that lockstep growth replaced."""
+    n_features = len(XT)
+    feature, threshold, right, label = [], [], [], []
+    stack = [(rows, 0, -1)]  # (rows, depth, parent whose right child this is)
+    while stack:
+        rows, depth, parent = stack.pop()
+        node = len(label)
+        if parent >= 0:
+            right[parent] = first + node
+        y_node = y[rows]
+        counts = np.bincount(y_node, minlength=n_classes)
+        majority = int(counts.argmax())
+        label.append(majority)
+        feature.append(-1)
+        threshold.append(0.0)
+        right.append(-1)
+        if counts[majority] == len(rows) or (max_depth is not None and depth >= max_depth):
+            continue
+        if max_features is None or max_features >= n_features:
+            feature_ids = np.arange(n_features)
+        else:
+            feature_ids = np.array(sorted(rng.sample(range(n_features), max_features)))
+        split = _best_split(XT[feature_ids[:, None], rows], y_node, n_classes)
+        if split is None:
+            continue
+        column, cut = split
+        feature[node] = f = int(feature_ids[column])
+        threshold[node] = cut
+        goes_left = XT[f, rows] <= cut
+        stack.append((rows[~goes_left], depth + 1, node))
+        stack.append((rows[goes_left], depth + 1, -1))
+    splits = np.array(feature, dtype=np.int64)
+    return ForestNodes(
+        feature=splits,
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.where(splits >= 0, first + np.arange(1, len(label) + 1), -1),
+        right=np.array(right, dtype=np.int64),
+        label=np.array(label, dtype=np.int64),
+    )
+
+
+def reference_train_forest(
+    train, n_trees=100, max_depth=None, rng=0, bootstrap=True, max_features="sqrt"
+):
+    """A forest grown tree by tree, each bootstrap drawn one randrange at a
+    time; returns (nodes, roots, seed)."""
+    labels = sorted({v.label for v in train})
+    y = np.array([labels.index(v.label) for v in train])
+    XT = np.array([v.values for v in train], dtype=np.int64).T
+    n_features = len(XT)
+    if max_features == "sqrt":
+        max_features = max(isqrt(n_features), 1)
+    seed = make_rng(rng).getrandbits(63)
+    n = len(train)
+    trees, roots, n_nodes = [], [], 0
+    for t in range(n_trees):
+        tree_rng = random.Random(derive_seed(seed, "tree", t))
+        if bootstrap:
+            rows = np.array([tree_rng.randrange(n) for _ in range(n)], dtype=np.int64)
+        else:
+            rows = np.arange(n)
+        tree = reference_grow_tree(
+            XT, y, rows, len(labels), max_depth, max_features, tree_rng, n_nodes
+        )
+        trees.append(tree)
+        roots.append(n_nodes)
+        n_nodes += len(tree.label)
+    nodes = ForestNodes(
+        *(np.concatenate([getattr(t, f.name) for t in trees]) for f in fields(ForestNodes))
+    )
+    return nodes, tuple(roots), seed
+
+
+def tie_heavy_matrix(draw, n, n_features):
+    """An n x n_features int matrix drawn from a few values, small ones and
+    ones near +-2**62. The large ones lie 4096 apart, so the float midpoint
+    of any two distinct values lies strictly between them."""
+    near = st.builds(
+        lambda sign, d: sign * 2**62 + 4096 * d, st.sampled_from([-1, 1]), st.integers(-3, 3)
+    )
+    palette = draw(st.lists(st.integers(-3, 3) | near, min_size=1, max_size=6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(palette, dtype=np.int64)[gen.integers(len(palette), size=(n, n_features))]
+
+
+@st.composite
+def forest_problems(draw):
+    """Training sets of 2-300 rows, 1-250 features and 2-5 classes, and
+    forest parameters. At most 21 features, CPython's ``sample`` draws from
+    a pool; above that, from a set."""
+    n = draw(st.integers(2, 300))
+    n_features = draw(st.integers(1, 250))
+    n_classes = draw(st.integers(2, 5))
+    X = tie_heavy_matrix(draw, n, n_features)
+    y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(n_classes, size=n)
+    y[:2] = [0, 1]
+    train = [FeatureVector(tuple(row), f"c{c}") for row, c in zip(X.tolist(), y.tolist())]
+    kwargs = {
+        "n_trees": draw(st.integers(1, 4)),
+        "max_depth": draw(st.sampled_from([None, 1, 3])),
+        "rng": draw(st.integers(0, 2**32)),
+        "bootstrap": draw(st.booleans()),
+        "max_features": draw(
+            st.sampled_from(["sqrt", None]) | st.integers(1, n_features)
+        ),
+    }
+    return train, kwargs
+
+
+@st.composite
+def search_batches(draw):
+    """A tie-heavy matrix and a batch of nodes: rows drawn with repeats, and
+    the same number of ascending candidate features for every node."""
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(2, 4))
+    XT = np.ascontiguousarray(tie_heavy_matrix(draw, n, n_features).T)
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    m = draw(st.integers(1, n_features))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=30).map(np.array),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    candidates = np.array(
+        [
+            sorted(draw(st.sets(st.integers(0, n_features - 1), min_size=m, max_size=m)))
+            for _ in rows
+        ]
+    )
+    return XT, y, n_classes, rows, candidates
 
 
 @st.composite
@@ -291,6 +436,63 @@ class TestForestParameters:
         with pytest.raises(ValueError, match=name):
             train_forest(train, n_trees=3, rng=0, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"n_trees": True}, "n_trees"),
+            ({"n_trees": 2.5}, "n_trees"),
+            ({"n_trees": 2.0}, "n_trees"),
+            ({"max_depth": 1.5}, "max_depth"),
+            ({"max_depth": True}, "max_depth"),
+            ({"max_features": True}, "max_features"),
+            ({"max_features": 1.7}, "max_features"),
+        ],
+    )
+    def test_rejects_parameters_that_are_not_integers(self, kwargs, name):
+        # The vectors differ in length: only a check made before the
+        # training matrix is built names the parameter.
+        train = labeled([((1, 0), "a"), ((2,), "b")])
+        with pytest.raises(ValueError, match=name):
+            train_forest(train, **{"n_trees": 3, "rng": 0, **kwargs})
+
+    @pytest.mark.parametrize("vector_len", [True, 2.5, 200.0])
+    def test_rejects_vector_len_that_is_not_an_integer(self, vector_len):
+        with pytest.raises(ValueError, match="vector_len"):
+            check_attack_parameters(vector_len=vector_len)
+
+    def test_accepts_numpy_integers(self):
+        train = labeled([((1, 0), "a"), ((2, 0), "b")] * 3)
+        model = train_forest(
+            train, n_trees=np.int64(2), max_depth=np.int32(2), max_features=np.int64(1), rng=0
+        )
+        assert model.n_trees == 2
+
+    def test_rejects_vectors_without_features(self):
+        with pytest.raises(ValueError, match="feature"):
+            train_forest(labeled([((), "a"), ((), "b")]), rng=0)
+
+
+class TestFeatureVector:
+    @pytest.mark.parametrize(
+        "values,index",
+        [
+            ((1.7, True), 0),
+            ((1, True), 1),
+            ((1, np.bool_(False)), 1),
+            ((0, 2, -0.5), 2),
+            ((float("nan"),), 0),
+            (("3",), 0),
+        ],
+    )
+    def test_rejects_values_that_are_not_integers(self, values, index):
+        with pytest.raises(ValueError, match=rf"values\[{index}\]"):
+            FeatureVector(values, "x")
+
+    def test_keeps_integral_values_as_ints(self):
+        vec = FeatureVector((np.int64(5), np.int32(-2), 3.0, 7), "x")
+        assert vec.values == (5, -2, 3, 7)
+        assert {type(v) for v in vec.values} == {int}
+
 
 class TestFlatTrees:
     def test_deep_tree_grows_without_recursion(self):
@@ -325,6 +527,37 @@ class TestFlatTrees:
         assert model.n_trees == 30
         assert model.predict(test) == walk_predict(model, test)
         assert model.predict(train) == walk_predict(model, train)
+
+
+class TestLockstepForest:
+    @given(forest_problems())
+    def test_matches_tree_by_tree_loop(self, problem):
+        train, kwargs = problem
+        model = train_forest(train, **kwargs)
+        nodes, roots, seed = reference_train_forest(train, **kwargs)
+        for f in fields(ForestNodes):
+            got, want = getattr(model.nodes, f.name), getattr(nodes, f.name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert (model.roots, model.seed) == (roots, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 538, 10**5])
+    def test_block_bootstrap_matches_randrange(self, n):
+        block, loop = random.Random(n), random.Random(n)
+        rows = _bootstrap_rows(block, n)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [loop.randrange(n) for _ in range(n)]
+        assert block.getstate() == loop.getstate()
+
+    @given(search_batches())
+    def test_batched_search_matches_one_node_at_a_time(self, batch):
+        XT, y, n_classes, rows, candidates = batch
+        keys, values = _rank_keys(XT, y, n_classes)
+        counts = np.array([np.bincount(y[r], minlength=n_classes) for r in rows])
+        column, threshold = _search_splits(keys, values, counts, rows, candidates)
+        for b, node in enumerate(zip(counts, rows, candidates)):
+            one = _search_splits(keys, values, *(np.array([part]) for part in node))
+            assert (column[b], threshold[b]) == (one[0][0], one[1][0])
 
 
 class TestStumpOracle:
