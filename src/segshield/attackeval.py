@@ -10,14 +10,16 @@ label), one entry per node and the trees back to back, as in scikit-learn's
 tree. Each tree grows from its own explicit stack, so depth is bounded by
 memory, not by the interpreter's recursion limit. The trees of a forest grow
 in lockstep: at each step every tree pops nodes up to the next one that
-needs a split, and one batched search serves all of those nodes. It packs
-each (node, candidate feature, row) entry with its value rank and class into
-one integer, sorts them all at once, and scores every place where the rank
-changes inside a (node, feature) group from running class counts. Scores are
-integer squared class counts with one float division per side, so they are
-bit-identical to a per-feature loop, and the forest is the one a
-tree-by-tree loop grows (both kept in the tests as references). Prediction
-routes every (row, tree) pair one level at a time.
+needs a split, and one batched search serves all of those nodes, however
+few. It packs each (node, candidate feature, row) entry with its value rank
+and class into one integer, sorts them all at once, and scores every place
+where the rank changes inside a (node, feature) group from running class
+counts. Scores are integer squared class counts with one float division per
+side, so they are bit-identical to a per-feature loop, and the forest is the
+one a tree-by-tree loop grows (both kept in the tests as references). One
+gathered comparison with the thresholds then partitions the rows of every
+split node of the step, and one ``bincount`` gives the children's class
+counts. Prediction routes every (row, tree) pair one level at a time.
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ class TreeNode:
 
 # Entries, i.e. (node, candidate feature, row) triples, that one batched
 # split search sorts at most, which keeps its working arrays under 1 MB. A
-# node with more entries is searched alone. On the exp-pair training sets,
-# half this cap trained about 20 % slower and twice it no faster.
+# node with more entries is searched alone, as a batch of one. On the
+# exp-pair training sets, half this cap trained about 20 % slower and twice
+# it no faster.
 _SEARCH_ENTRIES = 1 << 13
 
 
@@ -214,7 +217,8 @@ def _search_splits(
     rows: Sequence[np.ndarray],
     candidates: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive best split of each node of a batch, in one sort.
+    """Exhaustive best split of each node of a batch of one or more, in one
+    sort.
 
     ``keys`` and ``values`` come from ``_rank_keys``, and ``counts`` holds
     each node's class counts. Node b holds the samples ``rows[b]`` and
@@ -235,8 +239,6 @@ def _search_splits(
     n_nodes, n_classes = counts.shape
     n_candidates = candidates.shape[1]
     class_bits = (n_classes - 1).bit_length()
-    if n_nodes == 1:
-        return _search_one(keys, values, counts[0], rows[0], candidates[0], class_bits)
     stride = len(values) << class_bits  # the keys of one group
     offset = np.arange(0, candidates.size * stride, stride).reshape(candidates.shape)
     if candidates.size * stride < 2**31:
@@ -286,42 +288,6 @@ def _search_splits(
     base = group * len(values)
     threshold[node] = (values[slot[at] - base] + values[slot[at + 1] - base]) / 2.0
     return column, threshold
-
-
-def _search_one(
-    keys: np.ndarray,
-    values: np.ndarray,
-    counts: np.ndarray,
-    rows: np.ndarray,
-    candidates: np.ndarray,
-    class_bits: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_search_splits`` on one node, which has the least fixed cost: one
-    row of entries per candidate feature, sorted row by row, and a score at
-    every position."""
-    key = keys[candidates[:, None], rows]
-    key.sort(axis=1)
-    slot = key >> class_bits
-    label = key & ((1 << class_bits) - 1)
-    n_left = np.arange(1, len(rows))
-    left_0 = n_left
-    left_sq = right_sq = 0
-    for c in range(1, len(counts)):
-        left = (label[:, :-1] == c).cumsum(axis=1)
-        right = counts[c] - left
-        left_0 = left_0 - left
-        left_sq = left_sq + left * left
-        right_sq = right_sq + right * right
-    right_0 = counts[0] - left_0
-    score = (left_sq + left_0 * left_0) / n_left + (right_sq + right_0 * right_0) / (
-        len(rows) - n_left
-    )
-    # Every real score is positive; -1 marks a cut between equal values.
-    score[slot[:, 1:] == slot[:, :-1]] = -1.0
-    row, b = divmod(int(score.argmax()), len(rows) - 1)
-    if score[row, b] < 0:
-        return np.array([-1]), np.zeros(1)
-    return np.array([row]), np.array([(values[slot[row, b]] + values[slot[row, b + 1]]) / 2.0])
 
 
 def _best_split(values: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[int, float] | None:
@@ -445,7 +411,11 @@ def _split_batch(
 ) -> None:
     """Search a batch of popped nodes, and split each node that has a split:
     record its feature and threshold, and push its right, then its left
-    child onto its tree's stack."""
+    child onto its tree's stack. The rows of all split nodes go left or
+    right in one comparison, and their children's class counts come from one
+    ``bincount``. Raise ValueError when a threshold sends every row of a
+    node left, which only a float64 midpoint of two values beyond 2**52 in
+    magnitude can do."""
     counts = np.array([item[3] for item in batch])
     candidates = np.array([item[5] for item in batch])
     rows = [item[2] for item in batch]
@@ -456,21 +426,26 @@ def _split_batch(
     feature = candidates[split, column[split]]
     threshold = threshold[split]
     n_classes = counts.shape[1]
-    if len(split) == 1:  # the common step of a one-tree forest, with the least fixed cost
-        at = rows[split[0]]
-        goes_left = XT[feature[0], at] <= threshold[0]
-        left_rows, right_rows = at[goes_left], at[~goes_left]
-        left_counts = np.bincount(y[left_rows], minlength=n_classes)[None, :]
-    else:
-        rows = [rows[b] for b in split.tolist()]
-        at = np.concatenate(rows)
-        row_split = np.arange(len(rows)).repeat([len(r) for r in rows])
-        goes_left = XT.ravel()[(feature * XT.shape[1])[row_split] + at] <= threshold[row_split]
-        left_rows, right_rows = at[goes_left], at[~goes_left]
-        left_counts = np.bincount(
-            (y[at] + row_split * n_classes)[goes_left], minlength=len(rows) * n_classes
-        ).reshape(len(rows), n_classes)
+    rows = [rows[b] for b in split.tolist()]
+    at = np.concatenate(rows)
+    row_split = np.arange(len(rows)).repeat([len(r) for r in rows])
+    goes_left = XT.ravel()[(feature * XT.shape[1])[row_split] + at] <= threshold[row_split]
+    left_rows, right_rows = at[goes_left], at[~goes_left]
+    left_counts = np.bincount(
+        (y[at] + row_split * n_classes)[goes_left], minlength=len(rows) * n_classes
+    ).reshape(len(rows), n_classes)
     right_counts = counts[split] - left_counts
+    # A midpoint is never below the lower value, but it can round onto the
+    # upper one; the left child would then repeat the same split forever.
+    stuck = np.flatnonzero(right_counts.sum(axis=1) == 0)
+    if len(stuck):
+        i = stuck[0]
+        v = np.unique(XT[feature[i], rows[i]])
+        low = int(np.argmax((v[:-1].astype(np.float64) + v[1:]) / 2.0 == threshold[i]))
+        raise ValueError(
+            f"cannot split feature {feature[i]} between {v[low]} and {v[low + 1]}: "
+            f"their float64 midpoint {float(threshold[i])!r} sends every row left"
+        )
     left_end = right_end = 0
     for b, f, cut, left, right in zip(
         split.tolist(),

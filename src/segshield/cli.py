@@ -103,7 +103,12 @@ def main_shaper(argv=None) -> int:
     args = parser.parse_args(argv)
 
     def go():
+        # Flags are checked before any socket is opened.
+        check_value(args.reps, "--reps", int, POSITIVE)
+        check_value(args.recv_buf, "--recv-buf", int, POSITIVE)
         if args.command == "send":
+            check_value(args.size, "--size", int, POSITIVE)
+            check_value(args.send_buf, "--send-buf", int, POSITIVE)
             config = None if args.profile == "none" else _segmentation_flags(args)
             tuning = SocketTuning(
                 no_delay=True, send_buffer_bytes=args.send_buf, receive_buffer_bytes=args.recv_buf
@@ -117,6 +122,7 @@ def main_shaper(argv=None) -> int:
                 args.out,
             )
         else:
+            check_value(args.timeout, "--timeout", float, POSITIVE)
             runs = [
                 run_receiver(
                     args.port, host=args.host, timeout=args.timeout, recv_buffer=args.recv_buf

@@ -226,13 +226,19 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         # Exactly one of cfg.traces and cfg.devices is non-empty.
         read = (ingest_trace(path, header_bytes=cfg.header_bytes) for path in cfg.traces)
         base = traces_by_device(cfg.traces, read)
-        for profile in cfg.devices:
-            base[profile.name] = synthesize_trace(
+        for i, profile in enumerate(cfg.devices):
+            trace = synthesize_trace(
                 profile,
                 cfg.duration_s,
                 derive_seed(master, "synth", profile.name),
                 header_bytes=cfg.header_bytes,
             )
+            if not len(trace):
+                raise ConfigurationError(
+                    f"devices[{i}]: {profile.name!r} synthesized no records in "
+                    f"{cfg.duration_s} s; raise its mean_rate or duration_s"
+                )
+            base[profile.name] = trace
         reference = cfg.cover_reference
         if reference is not None and reference not in base:
             raise ConfigurationError(f"cover.reference: {reference!r} is not a device")
@@ -316,11 +322,11 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
 
 
 def write_report(report: Report, out_dir: str | Path) -> None:
+    # Rendered first, so that a report that cannot render leaves no file.
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "report.json").write_text(text)
     with open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["arm", "accuracy", "precision", "recall", "f1"])

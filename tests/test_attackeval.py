@@ -511,6 +511,16 @@ class TestFlatTrees:
                 todo.append((node.right, level + 1))
         assert (nodes, depth) == (2999, 1499)
 
+    @pytest.mark.parametrize("max_depth", [20, None])
+    def test_inseparable_float_midpoint_raises(self, max_depth):
+        # Floats near 2**62 lie 1024 apart, so the midpoint rounds onto the upper value.
+        train = labeled([((2**62 + 1024,), "a"), ((2**62 + 2048,), "b")])
+        match = r"feature 0 between 4611686018427388928 and 4611686018427389952"
+        with pytest.raises(ValueError, match=match):
+            train_forest(
+                train, n_trees=1, max_depth=max_depth, bootstrap=False, max_features=None
+            )
+
     @given(split_problems())
     def test_split_matches_per_feature_loop(self, problem):
         X, y, n_classes, feature_ids = problem
@@ -558,6 +568,9 @@ class TestLockstepForest:
         for b, node in enumerate(zip(counts, rows, candidates)):
             one = _search_splits(keys, values, *(np.array([part]) for part in node))
             assert (column[b], threshold[b]) == (one[0][0], one[1][0])
+            got = None if column[b] < 0 else (candidates[b][column[b]], threshold[b])
+            want = reference_best_split(XT[:, rows[b]].T, y[rows[b]], n_classes, candidates[b])
+            assert got == want
 
 
 class TestStumpOracle:

@@ -335,6 +335,32 @@ class TestShaperCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["send", "--size", "0"], "--size"),
+            (["send", "--size", "-5"], "--size"),
+            (["send", "--size", "10", "--send-buf", "0"], "--send-buf"),
+            (["send", "--size", "10", "--send-buf", "-1"], "--send-buf"),
+            (["send", "--size", "10", "--recv-buf", "0"], "--recv-buf"),
+            (["send", "--size", "10", "--reps", "0"], "--reps"),
+            (["recv", "--reps", "0"], "--reps"),
+            (["recv", "--timeout", "0"], "--timeout"),
+            (["recv", "--recv-buf", "-1"], "--recv-buf"),
+        ],
+    )
+    def test_bad_number_reported_before_any_socket(self, tmp_path, capsys, monkeypatch, argv, flag):
+        def connect(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr("segshield.cli.send_seeded_payload", connect)
+        monkeypatch.setattr("segshield.cli.run_receiver", connect)
+        where = ["--addr", "127.0.0.1:9"] if argv[0] == "send" else ["--port", "9"]
+        assert main_shaper([*argv, *where, "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}:") and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
 
 LIVE_PATH_PROBE = """
 import sys

@@ -11,10 +11,12 @@ from segshield.profiles import device_profile, resolve_device, resolve_segmentat
 from segshield.report import (
     ExperimentConfig,
     OverheadResult,
+    Report,
     StageError,
     byte_overhead,
     run_experiment,
     time_overhead,
+    write_report,
 )
 from segshield.tracesim import synthesize_trace, write_trace
 
@@ -277,3 +279,25 @@ class TestBadInputsWriteNothing:
         with pytest.raises(TraceFormatError, match=re.escape(str(empty))):
             run_experiment({"traces": [good, str(empty)], "n_trees": 5}, out)
         assert list((out / "traces").iterdir()) == []
+
+    def test_device_without_records(self, tmp_path, capsys):
+        silent = {**CUSTOM_DEVICE, "name": "silent", "mean_rate": 1e-9}
+        config = {**TINY_PAIR, "devices": ["bulb-like", silent, "plug-like"]}
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match=r"^devices\[1\]: 'silent' "):
+            run_experiment(config, out)
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main_segshield(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: devices[1]: 'silent' ")
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+
+    def test_report_that_cannot_render_writes_no_file(self, tmp_path):
+        rows = {"padded": {"silent": OverheadResult(w_b=0, d_b=0, w_t_us=0, d_t_us=0)}}
+        report = Report(config={}, seeds={}, metrics={}, overheads=rows)
+        with pytest.raises(ValueError, match="baseline byte count"):
+            write_report(report, tmp_path / "out")
+        assert not (tmp_path / "out" / "report.json").exists()
