@@ -105,9 +105,11 @@ def extract_windows(
     width = check_attack_parameters(window_s, vector_len)
     # Timestamps are sorted, so each window's records are a contiguous run.
     starts = np.unique(trace.timestamp_us // width, return_index=True)[1].tolist()
-    sizes = trace.signed_size.tolist()
+    sizes = trace.signed_size
     return [
-        FeatureVector((sizes[a:b] + [0] * vector_len)[:vector_len], trace.device, b - a)
+        FeatureVector(
+            (sizes[a:b][:vector_len].tolist() + [0] * vector_len)[:vector_len], trace.device, b - a
+        )
         for a, b in zip(starts, [*starts[1:], len(sizes)])
     ]
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import profiles, shaper
-from .errors import SegShieldError
+from .errors import ConfigurationError, SegShieldError
 from .profiles import NON_NEGATIVE, POSITIVE, check_value, resolve_device, resolve_segmentation
 from .shaper import SocketTuning, mean_wall_time, run_receiver, send_seeded_payload
 
@@ -207,12 +207,18 @@ def main_tracesim(argv=None) -> int:
                 f"({result.cover_fraction * 100:.1f}% of original)"
             )
         else:
+            check_value(args.duration, "--duration", float, POSITIVE)
             profile = resolve_device(
                 _preset_or_json(args.profile, profiles.device_profile_names()), "--profile"
             )
             trace = synthesize_trace(
                 profile, args.duration, args.seed, header_bytes=args.header_bytes
             )
+            if not len(trace):
+                raise ConfigurationError(
+                    f"--profile: {profile.name!r} synthesized no records in --duration "
+                    f"{args.duration} s; raise its mean_rate or --duration"
+                )
             write_trace(trace, args.out)
             print(f"{len(trace)} records for {profile.name}")
 

@@ -196,17 +196,29 @@ class ExperimentConfig:
 
 
 class StageError(SegShieldError):
-    """A pipeline stage failed; earlier artifacts are kept on disk."""
+    """A pipeline stage failed. The experiment runs one device at a time, in
+    sorted order, through every arm, so the trace files already written stay
+    on disk: every arm of each finished device, and the failing device's
+    earlier arms. ``stage`` names the step: inputs, padding, segmentation or
+    cover (each with its arm's write and window cut), attack or overheads."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
 
 
+_ARMS = ("undefended", "padded", "segmented")
+
+
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None) -> Report:
     """Run the full comparison and, when out_dir is given, write report.json,
     flat CSVs, and every intermediate trace for audit. The config is checked
-    before anything runs, and the inputs before any trace is written."""
+    before anything runs, and the inputs before any trace is written.
+
+    Devices go one at a time through all three arms; of each defended trace
+    only its window vectors and byte and time totals outlive the device, so
+    one device's defended traces are in memory at a time, plus the cover
+    reference's segmented trace."""
     if not isinstance(config, dict):
         with open(config) as fh:
             config = json.load(fh)
@@ -216,10 +228,40 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     if out is not None:
         (out / "traces").mkdir(parents=True, exist_ok=True)
 
-    def save(traces: dict[str, Trace], arm: str) -> None:
-        for device, trace in traces.items():
-            if out is not None:
-                write_trace(trace, out / "traces" / f"{device}.{arm}.jsonl")
+    # What later stages read of each arm's traces, by arm and device.
+    vectors: dict[str, dict[str, list]] = {arm: {} for arm in _ARMS}
+    totals: dict[str, dict[str, tuple[int, int]]] = {arm: {} for arm in _ARMS}
+    cover_bytes: dict[str, int] = {}
+
+    def keep(trace: Trace, arm: str) -> None:
+        if out is not None:
+            write_trace(trace, out / "traces" / f"{trace.device}.{arm}.jsonl")
+        vectors[arm][trace.device] = extract_windows(trace, cfg.window_s, cfg.vector_len)
+        totals[arm][trace.device] = (trace.total_bytes, trace.duration_us)
+
+    def segment(trace: Trace) -> Trace:
+        seed = derive_seed(master, "seg", trace.device)
+        return obfuscate_trace(trace, cfg.segmentation, cfg.time_overhead, seed)
+
+    def defend(trace: Trace, reference: Trace | None) -> None:
+        """Write and keep one device's arms; its traces die on return."""
+        nonlocal stage
+        device = trace.device
+        stage = "inputs"
+        keep(trace, "undefended")
+        stage = "padding"
+        keep(pad_trace(trace, cfg.mtu_frame, derive_seed(master, "pad", device)), "padded")
+        stage = "segmentation"
+        if reference is not None and reference.device == device:
+            segmented = reference
+        else:
+            segmented = segment(trace)
+            if reference is not None:
+                stage = "cover"
+                seed = derive_seed(master, "cover", device)
+                result = inject_cover_traffic(segmented, reference, cfg.cover_window_s, seed)
+                segmented, cover_bytes[device] = result.trace, result.cover_bytes
+        keep(segmented, "segmented")
 
     stage = "inputs"
     try:
@@ -227,64 +269,35 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         read = (ingest_trace(path, header_bytes=cfg.header_bytes) for path in cfg.traces)
         base = traces_by_device(cfg.traces, read)
         for i, profile in enumerate(cfg.devices):
-            trace = synthesize_trace(
+            base[profile.name] = synthesize_trace(
                 profile,
                 cfg.duration_s,
                 derive_seed(master, "synth", profile.name),
                 header_bytes=cfg.header_bytes,
             )
-            if not len(trace):
+            if not len(base[profile.name]):
                 raise ConfigurationError(
                     f"devices[{i}]: {profile.name!r} synthesized no records in "
                     f"{cfg.duration_s} s; raise its mean_rate or duration_s"
                 )
-            base[profile.name] = trace
-        reference = cfg.cover_reference
-        if reference is not None and reference not in base:
-            raise ConfigurationError(f"cover.reference: {reference!r} is not a device")
-        save(base, "undefended")
+        if cfg.cover_reference is not None and cfg.cover_reference not in base:
+            raise ConfigurationError(f"cover.reference: {cfg.cover_reference!r} is not a device")
 
-        stage = "padding"
-        padded = {
-            device: pad_trace(trace, cfg.mtu_frame, derive_seed(master, "pad", device))
-            for device, trace in base.items()
-        }
-        save(padded, "padded")
-
+        # The cover reference's segmented trace is the one kept across devices.
         stage = "segmentation"
-        segmented = {
-            device: obfuscate_trace(
-                trace, cfg.segmentation, cfg.time_overhead, derive_seed(master, "seg", device)
-            )
-            for device, trace in base.items()
-        }
-        cover_bytes = {device: 0 for device in base}
-        if reference is not None:
-            stage = "cover"
-            for device in sorted(set(segmented) - {reference}):
-                result = inject_cover_traffic(
-                    segmented[device],
-                    segmented[reference],
-                    cfg.cover_window_s,
-                    derive_seed(master, "cover", device),
-                )
-                segmented[device] = result.trace
-                cover_bytes[device] = result.cover_bytes
-        save(segmented, "segmented")
+        reference = None if cfg.cover_reference is None else segment(base[cfg.cover_reference])
+        for device in sorted(base):
+            defend(base.pop(device), reference)
+        del reference
 
         stage = "attack"
-        arms = {"undefended": base, "padded": padded, "segmented": segmented}
         metrics: dict[str, Metrics] = {}
-        for arm, traces in arms.items():
-            vectors = [
-                vector
-                for device in sorted(traces)
-                for vector in extract_windows(traces[device], cfg.window_s, cfg.vector_len)
-            ]
+        for arm, by_device in vectors.items():
+            joined = [vector for device in sorted(by_device) for vector in by_device[device]]
             # Split/forest seeds are shared across arms: identical inputs
             # (a no-op defense) then produce identical metric blocks.
             split_rng = random.Random(derive_seed(master, "split"))
-            train, test = split_dataset(vectors, cfg.train_fraction, split_rng)
+            train, test = split_dataset(joined, cfg.train_fraction, split_rng)
             forest_rng = random.Random(derive_seed(master, "forest"))
             model = train_forest(
                 train, n_trees=cfg.n_trees, max_depth=cfg.max_depth, rng=forest_rng
@@ -294,16 +307,16 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         stage = "overheads"
         overheads: dict[str, dict[str, OverheadResult]] = {}
         for arm in ("padded", "segmented"):
-            rows = {
-                device: OverheadResult(
-                    w_b=base[device].total_bytes,
-                    d_b=arms[arm][device].total_bytes,
-                    w_t_us=base[device].duration_us,
-                    d_t_us=arms[arm][device].duration_us,
-                    cover_bytes=cover_bytes[device] if arm == "segmented" else 0,
+            rows = {}
+            for device, (w_b, w_t_us) in sorted(totals["undefended"].items()):
+                d_b, d_t_us = totals[arm][device]
+                rows[device] = OverheadResult(
+                    w_b=w_b,
+                    d_b=d_b,
+                    w_t_us=w_t_us,
+                    d_t_us=d_t_us,
+                    cover_bytes=cover_bytes.get(device, 0) if arm == "segmented" else 0,
                 )
-                for device in sorted(base)
-            }
             # Totals aggregate raw bytes first, then divide.
             rows["total"] = OverheadResult(
                 *(sum(getattr(r, f.name) for r in rows.values()) for f in fields(OverheadResult))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from array import array
 from bisect import bisect_left
@@ -34,7 +35,9 @@ DEFAULT_TIME_OVERHEAD = 0.2
 
 def window_us(window_s: float) -> int:
     """A window length in whole microseconds, the unit traces are cut in.
-    Raise ValueError unless it is at least 1."""
+    Raise ValueError unless it is finite and at least 1."""
+    if not math.isfinite(window_s):
+        raise ValueError(f"window_s must be finite, got {window_s!r}")
     us = round(window_s * 1e6)
     if us < 1:
         raise ValueError(
@@ -46,6 +49,13 @@ def window_us(window_s: float) -> int:
 _COLUMN_TYPES = {"timestamp_us": np.int64, "signed_size": np.int64, "covered": np.bool_}
 
 
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """``column``, made read-only so that a Trace adopts it without a copy.
+    Only for an array that its maker hands over and no longer writes to."""
+    column.flags.writeable = False
+    return column
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """One device's packets in time order, as read-only columns of equal
@@ -53,7 +63,11 @@ class Trace:
     outgoing) and ``covered`` (bool). Every trace rule is checked here,
     whichever code built the trace: no size is zero, no timestamp is
     negative, timestamps never decrease. A broken rule raises
-    TraceRecordError naming the first bad record."""
+    TraceRecordError naming the first bad record.
+
+    A column that is a read-only array owning its memory is adopted as it
+    is; any other column is copied, so no later write to it reaches the
+    trace."""
 
     timestamp_us: np.ndarray
     signed_size: np.ndarray
@@ -63,7 +77,13 @@ class Trace:
 
     def __post_init__(self):
         for name, dtype in _COLUMN_TYPES.items():
-            column = np.array(getattr(self, name))
+            column = getattr(self, name)
+            if not (
+                isinstance(column, np.ndarray)
+                and column.flags.owndata
+                and not column.flags.writeable
+            ):
+                column = np.array(column)
             if column.size and not np.can_cast(column.dtype, dtype, "same_kind"):
                 raise TypeError(f"{name} must hold {np.dtype(dtype)} values, got {column.dtype}")
             column = column.astype(dtype, copy=False)
@@ -327,7 +347,9 @@ def _ingest_written_jsonl(path: str | Path, header_bytes: int) -> Trace | None:
                 return None
             columns.append(found)
     try:
-        return Trace(*map(np.concatenate, zip(*columns)), device, header_bytes)
+        return Trace(
+            *(_frozen(np.concatenate(c)) for c in zip(*columns)), device, header_bytes
+        )
     except TraceRecordError as exc:
         raise TraceFormatError(exc.reason, line=exc.index + 1) from exc
 
@@ -382,8 +404,8 @@ def synthesize_trace(
     against the schedule's peak rate); sizes and directions from the
     weighted per-direction distributions.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
     rng = make_rng(rng)
 
     in_sizes = [l for l, _ in profile.incoming]
@@ -443,9 +465,10 @@ def obfuscate_trace(
     chunks = np.fromiter(chain.from_iterable(plans), np.int64, sum(counts))
     # np.rint rounds half to even, as round() does on the same float product.
     scaled = np.rint(trace.timestamp_us * (1.0 + time_overhead)).astype(np.int64)
-    signed = np.repeat(np.sign(trace.signed_size), counts) * (chunks + header)
-    covered = np.repeat(trace.covered, counts)
-    return Trace(np.repeat(scaled, counts), signed, covered, trace.device, header)
+    chunks += header
+    chunks *= np.repeat(np.sign(trace.signed_size), counts)
+    columns = np.repeat(scaled, counts), chunks, np.repeat(trace.covered, counts)
+    return Trace(*map(_frozen, columns), trace.device, header)
 
 
 def pad_trace(trace: Trace, mtu_frame: int, rng: random.Random | int) -> Trace:
@@ -457,7 +480,9 @@ def pad_trace(trace: Trace, mtu_frame: int, rng: random.Random | int) -> Trace:
         i = int((sizes > mtu_frame).argmax())
         raise ValueError(f"record {i} is {sizes[i]} bytes, above the {mtu_frame}-byte ceiling")
     padded = [pad_packet_random(size, mtu_frame, rng) for size in sizes.tolist()]
-    return replace(trace, signed_size=np.sign(trace.signed_size) * np.array(padded, dtype=np.int64))
+    padded = np.array(padded, np.int64) * np.sign(trace.signed_size)
+    # The timestamp and covered columns are the input's own, shared read-only.
+    return replace(trace, signed_size=_frozen(padded))
 
 
 @dataclass(frozen=True)
@@ -607,15 +632,34 @@ def inject_cover_traffic(
             used = stop
     place()
 
-    # A stable sort keeps original records ahead of cover at equal
-    # timestamps, so stripping the flag restores the input byte-for-byte.
-    timestamps = np.concatenate([target.timestamp_us, np.frombuffer(cover_ts, np.int64)])
-    order = np.argsort(timestamps, kind="stable")
+    # Cover records go in a stable time order, each after every target
+    # record of an equal timestamp, so stripping the flag restores the input
+    # byte-for-byte. A target record's row in the output is its own index
+    # plus the cover records of earlier timestamps.
+    timestamps = np.frombuffer(cover_ts, np.int64)
     cover = np.frombuffer(cover_sizes, np.int64)
-    sizes = np.concatenate([target.signed_size, cover])
-    covered = np.concatenate([target.covered, np.ones(len(cover), bool)])
-    injected = Trace(
-        timestamps[order], sizes[order], covered[order], target.device, target.header_bytes
-    )
+    order = np.argsort(timestamps, kind="stable")
+    timestamps[:] = timestamps[order]  # in place: the cover can be millions of records
+    cover[:] = cover[order]
+    del order
     cover_bytes = int(np.abs(cover).sum())
+    rows = np.searchsorted(timestamps, target.timestamp_us, side="left")
+    rows += np.arange(len(target))
+    kept = np.zeros(len(target) + len(cover), bool)
+    kept[rows] = True
+    added = ~kept
+
+    def merged(column, cover_column):
+        out = np.empty(len(kept), column.dtype)
+        out[kept] = column
+        out[added] = cover_column
+        return _frozen(out)
+
+    injected = Trace(
+        merged(target.timestamp_us, timestamps),
+        merged(target.signed_size, cover),
+        merged(target.covered, True),
+        target.device,
+        target.header_bytes,
+    )
     return CoverResult(trace=injected, cover_bytes=cover_bytes, original_bytes=target.total_bytes)

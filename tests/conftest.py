@@ -1,9 +1,15 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import segshield
 from segshield.attackeval import FeatureVector
 from segshield.segcore import LevelBand, SegmentationConfig
 from segshield.tracesim import Trace
@@ -105,3 +111,25 @@ def small_traces(draw, min_size=0, device="dev"):
     sizes = draw(st.lists(st.integers(-1500, 1500).filter(bool), min_size=n, max_size=n))
     covered = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return Trace(np.cumsum(gaps, dtype=np.int64), sizes, covered, device)
+
+
+def run_bounded(code: str, timeout_s: float = 2.0, address_space: int = 512 * 2**20):
+    """Run ``code`` in a fresh interpreter that may map at most
+    ``address_space`` bytes and is killed after ``timeout_s``; a loop that
+    never ends then fails the test instead of hanging the suite."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = str(Path(segshield.__file__).resolve().parents[1])
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=timeout_s,
+            preexec_fn=cap,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {timeout_s} s")

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import fields
 from math import isqrt
@@ -305,6 +306,11 @@ class TestExtractWindows:
     def test_rejects_window_below_one_microsecond(self):
         with pytest.raises(ValueError, match="window_s"):
             extract_windows(mk_trace([(0, 130)]), 1e-7)
+
+    @pytest.mark.parametrize("window_s", [math.inf, -math.inf, math.nan])
+    def test_rejects_window_that_is_not_finite(self, window_s):
+        with pytest.raises(ValueError, match="^window_s must be finite"):
+            extract_windows(mk_trace([(0, 130)]), window_s)
 
 
 class TestSplitDataset:

@@ -126,6 +126,25 @@ class TestTracesimCli:
         assert padded.read_text().startswith("timestamp_us,signed_size,covered,device\n")
         assert ingest_trace(padded).total_bytes > ingest_trace(raw).total_bytes
 
+    def test_synth_without_records_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        argv = ["synth", "--profile", "doorbell-like", "--duration", "0.3", "--out", str(out)]
+        assert main_tracesim(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --profile: 'doorbell-like' synthesized no records")
+        assert "--duration 0.3 s" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0"])
+    def test_synth_duration_checked_before_the_profile_is_read(self, tmp_path, capsys, duration):
+        out = tmp_path / "d.jsonl"
+        argv = ["synth", "--profile", str(tmp_path / "nonexistent.json"),
+                "--duration", duration, "--out", str(out)]
+        assert main_tracesim(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --duration:") and "nonexistent" not in err
+        assert not out.exists()
+
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         code = main_tracesim(
             ["obfuscate", "--in", str(tmp_path / "none.jsonl"), "--out",
@@ -145,6 +164,8 @@ class TestTracesimCli:
         (main_attackeval, ["--trees", "0"], "n_trees"),
         (main_attackeval, ["--max-depth", "0"], "max_depth"),
         (main_tracesim, ["--window", "0"], "window_s"),
+        (main_attackeval, ["--window", "inf"], "window_s"),
+        (main_tracesim, ["--window", "inf"], "window_s"),
     ],
 )
 def test_bad_flag_reported_before_missing_files(tmp_path, capsys, main, args, name):

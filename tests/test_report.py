@@ -1,10 +1,12 @@
 import json
 import re
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from segshield import report as report_module
 from segshield.cli import main_segshield
 from segshield.errors import ConfigurationError, TraceFormatError
 from segshield.profiles import device_profile, resolve_device, resolve_segmentation
@@ -176,6 +178,56 @@ class TestRunExperiment:
         assert row.cover_bytes > 0
         assert byte_overhead(row.w_b, row.d_b) > row.b
         assert report.overheads["segmented"]["plug-like"].cover_bytes == 0
+
+
+class TestOneDeviceAtATime:
+    CONFIG = {
+        "seed": 3,
+        "duration_s": 120,
+        "devices": ["bulb-like", "plug-like", "doorbell-like"],
+        "n_trees": 3,
+        "cover": {"enabled": True, "reference": "plug-like"},
+    }
+
+    def test_earlier_devices_traces_are_gone(self, monkeypatch, tmp_path):
+        made = []  # (device, stage, weak reference) of each trace a stage built
+        calls = []
+
+        def alive():
+            return {(device, stage) for device, stage, ref in made if ref() is not None}
+
+        def watch(stage):
+            original = getattr(report_module, stage)
+
+            def watched(trace, *args, **kwargs):
+                calls.append((trace.device, stage, alive()))
+                result = original(trace, *args, **kwargs)
+                made.append((trace.device, stage, weakref.ref(getattr(result, "trace", result))))
+                return result
+
+            monkeypatch.setattr(report_module, stage, watched)
+
+        for stage in ("pad_trace", "obfuscate_trace", "inject_cover_traffic"):
+            watch(stage)
+        train = report_module.train_forest
+
+        def train_forest(*args, **kwargs):
+            calls.append((None, "train_forest", alive()))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(report_module, "train_forest", train_forest)
+        run_experiment(self.CONFIG, tmp_path / "out")
+
+        reference = ("plug-like", "obfuscate_trace")
+        assert calls[0] == ("plug-like", "obfuscate_trace", set())
+        devices = [device for device, stage, _ in calls if stage == "pad_trace"]
+        assert devices == ["bulb-like", "doorbell-like", "plug-like"]
+        for device, stage, seen in calls[1:]:
+            if stage == "train_forest":
+                assert seen == set()
+            else:
+                assert {(d, s) for d, s in seen if d != device} <= {reference}, (device, stage)
+        assert [stage for _, stage, _ in calls].count("train_forest") == 3
 
 
 CUSTOM_DEVICE = {"name": "custom", "mean_rate": 2.0, "incoming": [[130, 1.0]]}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import small_traces
+from conftest import run_bounded, small_traces
 from segshield.errors import ConfigurationError, TraceFormatError, TraceRecordError
 from segshield.profiles import DeviceProfile, resolve_device
 from segshield.segcore import LevelBand, SegmentationConfig
@@ -186,6 +186,18 @@ class TestRecordAndTrace:
         assert trace.signed_size.tolist() == [60, -70]
         with pytest.raises(ValueError):
             trace.signed_size[0] = 0
+
+    def test_read_only_array_owning_its_memory_is_adopted(self):
+        adopted = np.array([60, -70])
+        adopted.flags.writeable = False
+        assert np.shares_memory(Trace([0, 1], adopted, [False, True], "d").signed_size, adopted)
+        writeable = np.array([60, -70])
+        assert not np.shares_memory(
+            Trace([0, 1], writeable, [False, True], "d").signed_size, writeable
+        )
+        view = np.array([60, -70, 80])[:2]
+        view.flags.writeable = False
+        assert not np.shares_memory(Trace([0, 1], view, [False, True], "d").signed_size, view)
 
     def test_equality_compares_every_field(self):
         trace = Trace([0, 7], [60, -70], [False, True], "d", 54)
@@ -456,6 +468,20 @@ class TestSynthesize:
     def test_rejects_zero_duration(self):
         with pytest.raises(ValueError):
             synthesize_trace(FLAT_PROFILE, 0.0, rng=0)
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_rejects_non_finite_duration(self, duration):
+        # No sample time reaches such a duration, so the sampling loop would
+        # never end: it runs in a bounded interpreter.
+        done = run_bounded(
+            "from segshield.profiles import device_profile\n"
+            "from segshield.tracesim import synthesize_trace\n"
+            f"synthesize_trace(device_profile('bulb-like'), float('{duration}'), 0)\n"
+        )
+        assert done.returncode == 1
+        assert done.stderr.rstrip().endswith(
+            f"ValueError: duration_s must be positive and finite, got {duration}"
+        )
 
     def test_direction_mix(self):
         trace = synthesize_trace(FLAT_PROFILE, 600.0, rng=3)
