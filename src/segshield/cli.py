@@ -28,7 +28,7 @@ def _preset_or_json(arg: str, preset_names) -> str | dict:
 def _segmentation_flags(args):
     """The config that --profile (a preset name or JSON path) and --prob name."""
     spec = _preset_or_json(args.profile, profiles.segmentation_profile_names())
-    config = resolve_segmentation(spec, args.seed, "--profile")
+    config = resolve_segmentation(spec, "--profile")
     return config if args.prob is None else replace(config, prob=args.prob)
 
 
@@ -153,7 +153,6 @@ def main_tracesim(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--header-bytes", type=int, default=tracesim.DEFAULT_HEADER_BYTES)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", required=True)
 
@@ -162,6 +161,7 @@ def main_tracesim(argv=None) -> int:
     ob.add_argument("--profile", default=profiles.DEFAULT_SEGMENTATION_PROFILE)
     ob.add_argument("--prob", type=float, default=None)
     ob.add_argument("--time-overhead", type=float, default=tracesim.DEFAULT_TIME_OVERHEAD)
+    ob.add_argument("--header-bytes", type=int, default=tracesim.DEFAULT_HEADER_BYTES)
 
     pad = sub.add_parser("pad", parents=[common], help="random-padding baseline over a trace")
     pad.add_argument("--in", dest="infile", required=True)
@@ -182,9 +182,9 @@ def main_tracesim(argv=None) -> int:
 
     def go():
         # Flags are checked before any file is read, by the experiment config's rules.
-        check_value(args.header_bytes, "--header-bytes", int, NON_NEGATIVE)
         if args.command == "obfuscate":
             check_value(args.time_overhead, "--time-overhead", float, NON_NEGATIVE)
+            check_value(args.header_bytes, "--header-bytes", int, NON_NEGATIVE)
             config = _segmentation_flags(args)
             trace = ingest_trace(args.infile, header_bytes=args.header_bytes)
             out = obfuscate_trace(trace, config, args.time_overhead, args.seed)
@@ -192,14 +192,14 @@ def main_tracesim(argv=None) -> int:
             print(f"{len(trace)} -> {len(out)} records")
         elif args.command == "pad":
             check_value(args.mtu_frame, "--mtu-frame", int, POSITIVE)
-            trace = ingest_trace(args.infile, header_bytes=args.header_bytes)
+            trace = ingest_trace(args.infile)
             out = pad_trace(trace, args.mtu_frame, args.seed)
             write_trace(out, args.out)
             print(f"{trace.total_bytes} -> {out.total_bytes} bytes")
         elif args.command == "cover":
             tracesim.window_us(args.window)  # before any file is read
-            target = ingest_trace(args.target, header_bytes=args.header_bytes)
-            reference = ingest_trace(args.reference, header_bytes=args.header_bytes)
+            target = ingest_trace(args.target)
+            reference = ingest_trace(args.reference)
             result = inject_cover_traffic(target, reference, args.window, args.seed)
             write_trace(result.trace, args.out)
             print(
@@ -211,9 +211,7 @@ def main_tracesim(argv=None) -> int:
             profile = resolve_device(
                 _preset_or_json(args.profile, profiles.device_profile_names()), "--profile"
             )
-            trace = synthesize_trace(
-                profile, args.duration, args.seed, header_bytes=args.header_bytes
-            )
+            trace = synthesize_trace(profile, args.duration, args.seed)
             if not len(trace):
                 raise ConfigurationError(
                     f"--profile: {profile.name!r} synthesized no records in --duration "
@@ -247,7 +245,6 @@ def main_attackeval(argv=None) -> int:
     run.add_argument("--train-fraction", type=float, default=attackeval.DEFAULT_TRAIN_FRACTION)
     run.add_argument("--trees", type=int, default=attackeval.DEFAULT_N_TREES)
     run.add_argument("--max-depth", type=int, default=None)
-    run.add_argument("--header-bytes", type=int, default=tracesim.DEFAULT_HEADER_BYTES)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", default=None, help="metrics JSON path (default stdout)")
     args = parser.parse_args(argv)
@@ -261,9 +258,8 @@ def main_attackeval(argv=None) -> int:
             max_depth=args.max_depth,
         )
         check_attack_parameters(**parameters)
-        check_value(args.header_bytes, "--header-bytes", int, NON_NEGATIVE)
         check_value(args.traces, "--traces", list, tracesim.TRACE_PATHS)
-        read = (ingest_trace(path, header_bytes=args.header_bytes) for path in args.traces)
+        read = (ingest_trace(path) for path in args.traces)
         traces = traces_by_device(args.traces, read, "--traces")
         metrics = run_attack(list(traces.values()), seed=args.seed, **parameters)
         _dump_json(metrics.to_dict(), args.out)

@@ -229,7 +229,7 @@ def _build(path: str, make, *args, **kwargs):
 
 
 _SEGMENTATION_PRESET_KEYS = {"profile": str, "prob": float | None}
-_SEGMENTATION_KEYS = {"prob": float, "bands": list, "mss": int, "mtu": int, "seed": int}
+_SEGMENTATION_KEYS = {"prob": float, "bands": list}
 _BAND_KEYS = {"min_seg": int, "max_seg": int, "upper_threshold": int | None}
 _DEVICE_PRESET_KEYS = {"profile": str, "mean_rate": float | None}
 # Full device objects: the list keys hold rows of these kinds.
@@ -237,21 +237,21 @@ _DEVICE_ROWS = {"incoming": (int, float), "outgoing": (int, float), "mode_schedu
 _DEVICE_KEYS = {"name": str, "mean_rate": float, **dict.fromkeys(_DEVICE_ROWS, list)}
 
 
-def resolve_segmentation(spec, seed: int = 0, path: str = "segmentation") -> SegmentationConfig:
+def resolve_segmentation(spec, path: str = "segmentation") -> SegmentationConfig:
     """A preset name, a ``{"profile", "prob"}`` override, or a full config
-    object with explicit ``bands`` (whose own ``seed`` wins over ``seed``)."""
+    object of ``prob`` and ``bands``."""
     if isinstance(spec, str):
         spec = {"profile": spec}
     if isinstance(spec, dict) and "profile" in spec:
         values = check_object(spec, path, _SEGMENTATION_PRESET_KEYS)
-        return _build(path, segmentation_profile, values.pop("profile"), seed=seed, **values)
+        return _build(path, segmentation_profile, values.pop("profile"), **values)
     values = check_object(spec, path, _SEGMENTATION_KEYS, required=("prob", "bands"))
     bands = []
     for i, band in enumerate(values["bands"]):
         where = f"{path}.bands[{i}]"
         checked = check_object(band, where, _BAND_KEYS, required=("min_seg", "max_seg"))
         bands.append(_build(where, LevelBand, **checked))
-    return _build(path, SegmentationConfig, **{"seed": seed, **values, "bands": bands})
+    return _build(path, SegmentationConfig, values["prob"], bands)
 
 
 def resolve_device(spec, path: str = "device") -> DeviceProfile:

@@ -31,6 +31,7 @@ from .rng import derive_seed
 from .segcore import SegmentationConfig
 from .tracesim import (
     Trace,
+    check_time_overhead,
     ingest_trace,
     inject_cover_traffic,
     obfuscate_trace,
@@ -125,7 +126,7 @@ def _cuts_windows(window_s: float) -> bool:
     return True
 
 
-_WINDOW = (_cuts_windows, "at least 1 µs once rounded to whole microseconds")
+_WINDOW = (_cuts_windows, "at least 1 µs and below 2**63 µs once rounded to whole microseconds")
 _COVER_KEYS = {"enabled": bool, "reference": str | None, "window_s": (float, _WINDOW)}
 
 
@@ -184,9 +185,7 @@ class ExperimentConfig:
             values["devices"] = tuple(devices)
         else:
             values["traces"] = tuple(values["traces"])
-        values["segmentation"] = resolve_segmentation(
-            source["segmentation"], seed=values.get("seed", cls.seed)
-        )
+        values["segmentation"] = resolve_segmentation(source["segmentation"])
         return cls(
             source=source,
             cover_reference=cover.get("reference") if cover.get("enabled") else None,
@@ -200,7 +199,7 @@ class StageError(SegShieldError):
     sorted order, through every arm, so the trace files already written stay
     on disk: every arm of each finished device, and the failing device's
     earlier arms. ``stage`` names the step: inputs, padding, segmentation or
-    cover (each with its arm's write and window cut), attack or overheads."""
+    cover (each with its arm's write, window cut and overhead row) or attack."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -216,8 +215,8 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     before anything runs, and the inputs before any trace is written.
 
     Devices go one at a time through all three arms; of each defended trace
-    only its window vectors and byte and time totals outlive the device, so
-    one device's defended traces are in memory at a time, plus the cover
+    only its window vectors and overhead row outlive the device, so one
+    device's defended traces are in memory at a time, plus the cover
     reference's segmented trace."""
     if not isinstance(config, dict):
         with open(config) as fh:
@@ -230,14 +229,20 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
 
     # What later stages read of each arm's traces, by arm and device.
     vectors: dict[str, dict[str, list]] = {arm: {} for arm in _ARMS}
-    totals: dict[str, dict[str, tuple[int, int]]] = {arm: {} for arm in _ARMS}
-    cover_bytes: dict[str, int] = {}
+    overheads: dict[str, dict[str, OverheadResult]] = {"padded": {}, "segmented": {}}
 
-    def keep(trace: Trace, arm: str) -> None:
+    def keep(trace: Trace, arm: str, baseline=None, cover_bytes: int = 0) -> tuple[int, int]:
+        """Write one arm's trace and keep its window vectors and, for a
+        defended arm, its overhead row against ``baseline``, the device's
+        undefended (total_bytes, duration_us). Return the trace's own pair."""
         if out is not None:
             write_trace(trace, out / "traces" / f"{trace.device}.{arm}.jsonl")
         vectors[arm][trace.device] = extract_windows(trace, cfg.window_s, cfg.vector_len)
-        totals[arm][trace.device] = (trace.total_bytes, trace.duration_us)
+        d_b, d_t_us = trace.total_bytes, trace.duration_us
+        if baseline is not None:
+            w_b, w_t_us = baseline
+            overheads[arm][trace.device] = OverheadResult(w_b, d_b, w_t_us, d_t_us, cover_bytes)
+        return d_b, d_t_us
 
     def segment(trace: Trace) -> Trace:
         seed = derive_seed(master, "seg", trace.device)
@@ -248,10 +253,12 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         nonlocal stage
         device = trace.device
         stage = "inputs"
-        keep(trace, "undefended")
+        baseline = keep(trace, "undefended")
         stage = "padding"
-        keep(pad_trace(trace, cfg.mtu_frame, derive_seed(master, "pad", device)), "padded")
+        padding_seed = derive_seed(master, "pad", device)
+        keep(pad_trace(trace, cfg.mtu_frame, padding_seed), "padded", baseline)
         stage = "segmentation"
+        cover_bytes = 0
         if reference is not None and reference.device == device:
             segmented = reference
         else:
@@ -260,8 +267,8 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
                 stage = "cover"
                 seed = derive_seed(master, "cover", device)
                 result = inject_cover_traffic(segmented, reference, cfg.cover_window_s, seed)
-                segmented, cover_bytes[device] = result.trace, result.cover_bytes
-        keep(segmented, "segmented")
+                segmented, cover_bytes = result.trace, result.cover_bytes
+        keep(segmented, "segmented", baseline, cover_bytes)
 
     stage = "inputs"
     try:
@@ -282,6 +289,11 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
                 )
         if cfg.cover_reference is not None and cfg.cover_reference not in base:
             raise ConfigurationError(f"cover.reference: {cfg.cover_reference!r} is not a device")
+        for device in base:  # by name, so that no input outlives its turn below
+            try:
+                check_time_overhead(base[device], cfg.time_overhead)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from None
 
         # The cover reference's segmented trace is the one kept across devices.
         stage = "segmentation"
@@ -303,29 +315,16 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
                 train, n_trees=cfg.n_trees, max_depth=cfg.max_depth, rng=forest_rng
             )
             metrics[arm] = evaluate(model, test)
-
-        stage = "overheads"
-        overheads: dict[str, dict[str, OverheadResult]] = {}
-        for arm in ("padded", "segmented"):
-            rows = {}
-            for device, (w_b, w_t_us) in sorted(totals["undefended"].items()):
-                d_b, d_t_us = totals[arm][device]
-                rows[device] = OverheadResult(
-                    w_b=w_b,
-                    d_b=d_b,
-                    w_t_us=w_t_us,
-                    d_t_us=d_t_us,
-                    cover_bytes=cover_bytes.get(device, 0) if arm == "segmented" else 0,
-                )
-            # Totals aggregate raw bytes first, then divide.
-            rows["total"] = OverheadResult(
-                *(sum(getattr(r, f.name) for r in rows.values()) for f in fields(OverheadResult))
-            )
-            overheads[arm] = rows
     except SegShieldError:
         raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
+
+    for rows in overheads.values():
+        # Totals aggregate raw bytes first, then divide.
+        rows["total"] = OverheadResult(
+            *(sum(getattr(r, f.name) for r in rows.values()) for f in fields(OverheadResult))
+        )
 
     seeds = {"master": master}
     report = Report(config=cfg.source, seeds=seeds, metrics=metrics, overheads=overheads)

@@ -17,12 +17,15 @@ from .rng import draws_as_random
 # IPv4 + TCP headers without options; a segment payload larger than
 # mtu - this would force IP fragmentation.
 TCP_IP_HEADER_BYTES = 40
-DEFAULT_MSS = 1460
 DEFAULT_MTU = 1500
 
 
 def payload_capacity(mtu: int) -> int:
     return mtu - TCP_IP_HEADER_BYTES
+
+
+# The largest chunk a band may draw: one full segment at the default MTU.
+_MAX_SEG = payload_capacity(DEFAULT_MTU)
 
 
 @dataclass(frozen=True)
@@ -51,13 +54,12 @@ class LevelBand:
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    """Tunable knobs of the defense: firing probability, level bands, and the
-    transport constants the bands must respect."""
+    """Tunable knobs of the defense: firing probability and level bands, whose
+    chunks fit one segment at the default MTU. ``seed`` seeds a live
+    connection that is given no ``rng``."""
 
     prob: float
     bands: tuple[LevelBand, ...]
-    mss: int = DEFAULT_MSS
-    mtu: int = DEFAULT_MTU
     seed: int = 0
 
     def __post_init__(self):
@@ -66,11 +68,6 @@ class SegmentationConfig:
             raise ConfigurationError(f"prob must lie in [0, 1], got {self.prob}")
         if not self.bands:
             raise ConfigurationError("at least one band is required")
-        capacity = payload_capacity(self.mtu)
-        if not 1 <= self.mss <= capacity:
-            raise ConfigurationError(
-                f"mss {self.mss} exceeds MTU payload capacity {capacity}"
-            )
         thresholds = [b.upper_threshold for b in self.bands]
         for i, t in enumerate(thresholds):
             if t is None and i != len(thresholds) - 1:
@@ -79,9 +76,9 @@ class SegmentationConfig:
         if any(a >= b for a, b in zip(finite, finite[1:])):
             raise ConfigurationError("band thresholds must strictly increase")
         for b in self.bands:
-            if b.max_seg > capacity:
+            if b.max_seg > _MAX_SEG:
                 raise ConfigurationError(
-                    f"band max_seg {b.max_seg} exceeds MTU payload capacity {capacity}"
+                    f"band max_seg {b.max_seg} exceeds MTU payload capacity {_MAX_SEG}"
                 )
 
 

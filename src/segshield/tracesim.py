@@ -27,7 +27,6 @@ from .rng import RawWords, below_draws, make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, pad_packet_random, segment_lengths
 
 DEFAULT_HEADER_BYTES = 82  # MAC-level frame header; IP-level accounting uses 54
-IP_HEADER_BYTES = 54
 DEFAULT_MTU_FRAME = DEFAULT_MTU + DEFAULT_HEADER_BYTES
 DEFAULT_DURATION_S = 3600.0
 DEFAULT_TIME_OVERHEAD = 0.2
@@ -35,13 +34,14 @@ DEFAULT_TIME_OVERHEAD = 0.2
 
 def window_us(window_s: float) -> int:
     """A window length in whole microseconds, the unit traces are cut in.
-    Raise ValueError unless it is finite and at least 1."""
+    Raise ValueError unless it is finite, at least 1 and below 2**63."""
     if not math.isfinite(window_s):
         raise ValueError(f"window_s must be finite, got {window_s!r}")
     us = round(window_s * 1e6)
-    if us < 1:
+    if not 1 <= us < 2**63:
         raise ValueError(
-            f"window_s must be at least 1 µs once rounded to whole microseconds, got {window_s!r}"
+            "window_s must be at least 1 µs and below 2**63 µs once rounded to whole "
+            f"microseconds, got {window_s!r}"
         )
     return us
 
@@ -439,11 +439,21 @@ def synthesize_trace(
 # the same trace bytes; the rest works on whole columns.
 
 
+def check_time_overhead(trace: Trace, time_overhead: float) -> None:
+    """Raise ValueError naming time_overhead unless it is finite, at least 0
+    and dilates ``trace``'s last timestamp to one that fits in 64 bits."""
+    if not (math.isfinite(time_overhead) and time_overhead >= 0):
+        raise ValueError(f"time_overhead: must be finite and >= 0, got {time_overhead!r}")
+    # The float product obfuscate_trace rounds: below 2**63 it fits an int64.
+    if trace.duration_us * (1.0 + time_overhead) >= 2**63:
+        raise ValueError(
+            f"time_overhead: {time_overhead!r} dilates {trace.device!r}'s last timestamp "
+            f"{trace.duration_us} µs beyond 64 bits"
+        )
+
+
 def obfuscate_trace(
-    trace: Trace,
-    config: SegmentationConfig,
-    time_overhead: float = DEFAULT_TIME_OVERHEAD,
-    rng: random.Random | int | None = None,
+    trace: Trace, config: SegmentationConfig, time_overhead: float, rng: random.Random | int
 ) -> Trace:
     """Replay random segmentation over every frame's payload.
 
@@ -451,9 +461,8 @@ def obfuscate_trace(
     at the parent's timestamp; all timestamps are then dilated by
     (1 + time_overhead). Total payload bytes are conserved exactly.
     """
-    if time_overhead < 0:
-        raise ValueError("time_overhead must be >= 0")
-    rng = make_rng(config.seed if rng is None else rng)
+    check_time_overhead(trace, time_overhead)
+    rng = make_rng(rng)
     header = trace.header_bytes
     sizes = np.abs(trace.signed_size)
     if len(trace) and header >= sizes.min():

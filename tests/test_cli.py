@@ -166,6 +166,8 @@ class TestTracesimCli:
         (main_tracesim, ["--window", "0"], "window_s"),
         (main_attackeval, ["--window", "inf"], "window_s"),
         (main_tracesim, ["--window", "inf"], "window_s"),
+        (main_attackeval, ["--window", "1e13"], "window_s"),
+        (main_tracesim, ["--window", "1e13"], "window_s"),
     ],
 )
 def test_bad_flag_reported_before_missing_files(tmp_path, capsys, main, args, name):
@@ -187,8 +189,6 @@ def test_bad_flag_reported_before_missing_files(tmp_path, capsys, main, args, na
         (main_tracesim, ["obfuscate", "--time-overhead", "-1"], "--time-overhead"),
         (main_tracesim, ["obfuscate", "--header-bytes", "-5"], "--header-bytes"),
         (main_tracesim, ["pad", "--mtu-frame", "0"], "--mtu-frame"),
-        (main_tracesim, ["pad", "--header-bytes", "-5"], "--header-bytes"),
-        (main_attackeval, ["run", "--header-bytes", "-5"], "--header-bytes"),
     ],
 )
 def test_flag_checked_before_the_input_is_read(tmp_path, capsys, main, argv, flag):
@@ -198,6 +198,24 @@ def test_flag_checked_before_the_input_is_read(tmp_path, capsys, main, argv, fla
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}:") and "Traceback" not in err
     assert "nonexistent" not in err
+
+
+@pytest.mark.parametrize(
+    "main,argv",
+    [
+        (main_tracesim, ["synth", "--profile", "bulb-like"]),
+        (main_tracesim, ["pad", "--in", "a.jsonl"]),
+        (main_tracesim, ["cover", "--target", "a.jsonl", "--reference", "b.jsonl"]),
+        (main_attackeval, ["run", "--traces", "a.jsonl", "b.jsonl"]),
+    ],
+)
+def test_header_bytes_only_on_obfuscate(tmp_path, capsys, main, argv):
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--header-bytes", "54", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --header-bytes 54" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestAttackevalCli:

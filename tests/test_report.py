@@ -231,6 +231,7 @@ class TestOneDeviceAtATime:
 
 
 CUSTOM_DEVICE = {"name": "custom", "mean_rate": 2.0, "incoming": [[130, 1.0]]}
+FULL_SEGMENTATION = {"prob": 0.5, "bands": [{"min_seg": 5, "max_seg": 20}]}
 
 
 class TestExperimentConfig:
@@ -257,6 +258,14 @@ class TestExperimentConfig:
                 {"cover": {"enabled": True, "reference": "plug-like", "window_s": 1e-7}},
                 "cover.window_s",
             ),
+            ({"window_s": 1e13}, "window_s"),
+            (
+                {"cover": {"enabled": True, "reference": "plug-like", "window_s": 1e13}},
+                "cover.window_s",
+            ),
+            ({"segmentation": {**FULL_SEGMENTATION, "seed": 1}}, "segmentation.seed"),
+            ({"segmentation": {**FULL_SEGMENTATION, "mss": 1460}}, "segmentation.mss"),
+            ({"segmentation": {**FULL_SEGMENTATION, "mtu": 1500}}, "segmentation.mtu"),
         ],
     )
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, change, path):
@@ -297,8 +306,8 @@ class TestExperimentConfig:
 
     def test_full_objects_resolve(self):
         bands = [{"min_seg": 5, "max_seg": 20, "upper_threshold": None}]
-        seg = resolve_segmentation({"prob": 0.5, "bands": bands}, seed=3)
-        assert seg.prob == 0.5 and seg.bands[0].max_seg == 20 and seg.seed == 3
+        seg = resolve_segmentation({"prob": 0.5, "bands": bands})
+        assert seg.prob == 0.5 and seg.bands[0].max_seg == 20
         device = resolve_device({**CUSTOM_DEVICE, "outgoing": [[116, 0.5]]})
         assert device.incoming == ((130, 1.0),) and device.outgoing == ((116, 0.5),)
         assert resolve_device({"profile": "bulb-like", "mean_rate": 3}) == device_profile(
@@ -344,6 +353,20 @@ class TestBadInputsWriteNothing:
         cfg_path.write_text(json.dumps(config))
         assert main_segshield(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: devices[1]: 'silent' ")
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+
+    def test_time_overhead_beyond_64_bits(self, tmp_path, capsys):
+        config = {**TINY_PAIR, "time_overhead": 1e20}
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match=r"^time_overhead: 1e\+20 dilates "):
+            run_experiment(config, out)
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main_segshield(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: time_overhead: 1e+20 dilates ")
         assert list((out / "traces").iterdir()) == []
         assert not (out / "report.json").exists()
 

@@ -544,6 +544,13 @@ class TestObfuscate:
         with pytest.raises(ValueError):
             obfuscate_trace(mk_trace([130]), low_bandwidth, -0.1, rng=0)
 
+    def test_rejects_dilation_beyond_64_bits_before_any_draw(self, low_bandwidth):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="^time_overhead: 1e\\+20 dilates "):
+            obfuscate_trace(mk_trace([130, 400]), low_bandwidth, 1e20, rng)
+        assert rng.getstate() == state
+
     def test_deterministic(self, low_bandwidth):
         trace = mk_trace([130, 400, -144] * 20)
         assert obfuscate_trace(trace, low_bandwidth, 0.2, rng=8) == obfuscate_trace(
