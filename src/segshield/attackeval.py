@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .rng import RawWords, below_draws, derive_seed, make_rng
-from .tracesim import Trace, window_us
+from .tracesim import Trace, window_starts, window_us
 
 DEFAULT_VECTOR_LEN = 200
 DEFAULT_WINDOW_S = 30.0
@@ -104,7 +104,7 @@ def extract_windows(
     window. Cover records are included: the observer cannot strip them."""
     width = check_attack_parameters(window_s, vector_len)
     # Timestamps are sorted, so each window's records are a contiguous run.
-    starts = np.unique(trace.timestamp_us // width, return_index=True)[1].tolist()
+    starts = window_starts(trace.timestamp_us, width).tolist()
     sizes = trace.signed_size
     return [
         FeatureVector(
@@ -290,23 +290,6 @@ def _search_splits(
     base = group * len(values)
     threshold[node] = (values[slot[at] - base] + values[slot[at + 1] - base]) / 2.0
     return column, threshold
-
-
-def _best_split(values: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[int, float] | None:
-    """Exhaustive best split over the rows of ``values`` (one row per
-    candidate feature, one column per sample), as (row, threshold), or None
-    when no row varies: ``_search_splits`` on one node."""
-    keys, distinct = _rank_keys(values, y, n_classes)
-    column, threshold = _search_splits(
-        keys,
-        distinct,
-        np.bincount(y, minlength=n_classes)[None, :],
-        [np.arange(len(y))],
-        np.arange(len(values))[None, :],
-    )
-    if column[0] < 0:
-        return None
-    return int(column[0]), float(threshold[0])
 
 
 def _bootstrap_rows(rng: random.Random, n: int) -> np.ndarray:

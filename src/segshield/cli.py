@@ -207,7 +207,7 @@ def main_tracesim(argv=None) -> int:
                 f"({result.cover_fraction * 100:.1f}% of original)"
             )
         else:
-            check_value(args.duration, "--duration", float, POSITIVE)
+            check_value(args.duration, "--duration", float, tracesim.DURATION)
             profile = resolve_device(
                 _preset_or_json(args.profile, profiles.device_profile_names()), "--profile"
             )

@@ -31,6 +31,7 @@ from .rng import derive_seed
 from .segcore import SegmentationConfig
 from .tracesim import (
     Trace,
+    check_mtu_frame,
     check_time_overhead,
     ingest_trace,
     inject_cover_traffic,
@@ -38,6 +39,7 @@ from .tracesim import (
     pad_trace,
     synthesize_trace,
     traces_by_device,
+    window_profile,
     window_us,
     write_trace,
 )
@@ -148,7 +150,7 @@ class ExperimentConfig:
     devices: tuple[DeviceProfile, ...] = ()
     traces: tuple[str, ...] = ()
     seed: int = _key(0, int, NON_NEGATIVE)
-    duration_s: float = _key(tracesim.DEFAULT_DURATION_S, float, POSITIVE)
+    duration_s: float = _key(tracesim.DEFAULT_DURATION_S, float, tracesim.DURATION)
     window_s: float = _key(attackeval.DEFAULT_WINDOW_S, float, _WINDOW)
     vector_len: int = _key(attackeval.DEFAULT_VECTOR_LEN, int, POSITIVE)
     train_fraction: float = _key(attackeval.DEFAULT_TRAIN_FRACTION, float, _UNIT)
@@ -195,11 +197,14 @@ class ExperimentConfig:
 
 
 class StageError(SegShieldError):
-    """A pipeline stage failed. The experiment runs one device at a time, in
-    sorted order, through every arm, so the trace files already written stay
-    on disk: every arm of each finished device, and the failing device's
-    earlier arms. ``stage`` names the step: inputs, padding, segmentation or
-    cover (each with its arm's write, window cut and overhead row) or attack."""
+    """A pipeline stage failed. With cover on, the experiment first writes
+    the cover reference's segmented arm; then it runs one device at a time,
+    in sorted order, through every arm (the reference through its other
+    two). So the trace files already written stay on disk: the reference's
+    segmented trace, every arm of each finished device, and the failing
+    device's earlier arms. ``stage`` names the step: inputs, padding,
+    segmentation or cover (each with its arm's write, window cut and
+    overhead row) or attack."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -214,10 +219,11 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     flat CSVs, and every intermediate trace for audit. The config is checked
     before anything runs, and the inputs before any trace is written.
 
-    Devices go one at a time through all three arms; of each defended trace
-    only its window vectors and overhead row outlive the device, so one
-    device's defended traces are in memory at a time, plus the cover
-    reference's segmented trace."""
+    With cover on, the cover reference's segmented arm runs first, and only
+    its per-window byte volumes outlive it. Then devices go one at a time
+    through their arms; of each defended trace only its window vectors and
+    overhead row outlive the device, so one device's defended traces are in
+    memory at a time."""
     if not isinstance(config, dict):
         with open(config) as fh:
             config = json.load(fh)
@@ -231,44 +237,41 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     vectors: dict[str, dict[str, list]] = {arm: {} for arm in _ARMS}
     overheads: dict[str, dict[str, OverheadResult]] = {"padded": {}, "segmented": {}}
 
-    def keep(trace: Trace, arm: str, baseline=None, cover_bytes: int = 0) -> tuple[int, int]:
+    def keep(trace: Trace, arm: str, cover_bytes: int = 0) -> None:
         """Write one arm's trace and keep its window vectors and, for a
-        defended arm, its overhead row against ``baseline``, the device's
-        undefended (total_bytes, duration_us). Return the trace's own pair."""
+        defended arm, its overhead row against the device's baseline."""
         if out is not None:
             write_trace(trace, out / "traces" / f"{trace.device}.{arm}.jsonl")
         vectors[arm][trace.device] = extract_windows(trace, cfg.window_s, cfg.vector_len)
-        d_b, d_t_us = trace.total_bytes, trace.duration_us
-        if baseline is not None:
-            w_b, w_t_us = baseline
+        if arm != "undefended":
+            w_b, w_t_us = baselines[trace.device]
+            d_b, d_t_us = trace.total_bytes, trace.duration_us
             overheads[arm][trace.device] = OverheadResult(w_b, d_b, w_t_us, d_t_us, cover_bytes)
-        return d_b, d_t_us
 
     def segment(trace: Trace) -> Trace:
         seed = derive_seed(master, "seg", trace.device)
         return obfuscate_trace(trace, cfg.segmentation, cfg.time_overhead, seed)
 
-    def defend(trace: Trace, reference: Trace | None) -> None:
-        """Write and keep one device's arms; its traces die on return."""
+    def defend(trace: Trace, cover_profile: Trace | None) -> None:
+        """Write and keep one device's arms, but for the cover reference's
+        segmented arm, kept before; its traces die on return."""
         nonlocal stage
         device = trace.device
         stage = "inputs"
-        baseline = keep(trace, "undefended")
+        keep(trace, "undefended")
         stage = "padding"
         padding_seed = derive_seed(master, "pad", device)
-        keep(pad_trace(trace, cfg.mtu_frame, padding_seed), "padded", baseline)
+        keep(pad_trace(trace, cfg.mtu_frame, padding_seed), "padded")
+        if device == cfg.cover_reference:
+            return
         stage = "segmentation"
-        cover_bytes = 0
-        if reference is not None and reference.device == device:
-            segmented = reference
-        else:
-            segmented = segment(trace)
-            if reference is not None:
-                stage = "cover"
-                seed = derive_seed(master, "cover", device)
-                result = inject_cover_traffic(segmented, reference, cfg.cover_window_s, seed)
-                segmented, cover_bytes = result.trace, result.cover_bytes
-        keep(segmented, "segmented", baseline, cover_bytes)
+        segmented, cover_bytes = segment(trace), 0
+        if cover_profile is not None:
+            stage = "cover"
+            seed = derive_seed(master, "cover", device)
+            result = inject_cover_traffic(segmented, cover_profile, cfg.cover_window_s, seed)
+            segmented, cover_bytes = result.trace, result.cover_bytes
+        keep(segmented, "segmented", cover_bytes)
 
     stage = "inputs"
     try:
@@ -292,15 +295,23 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         for device in base:  # by name, so that no input outlives its turn below
             try:
                 check_time_overhead(base[device], cfg.time_overhead)
+                check_mtu_frame(base[device], cfg.mtu_frame)
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from None
+        # Each device's undefended totals, the baseline of its overhead rows.
+        baselines = {device: (t.total_bytes, t.duration_us) for device, t in base.items()}
 
-        # The cover reference's segmented trace is the one kept across devices.
-        stage = "segmentation"
-        reference = None if cfg.cover_reference is None else segment(base[cfg.cover_reference])
+        # Cover injection reads only the reference's per-window byte volumes,
+        # so of its segmented trace only those outlive its own arm.
+        cover_profile = None
+        if cfg.cover_reference is not None:
+            stage = "segmentation"
+            segmented = segment(base[cfg.cover_reference])
+            keep(segmented, "segmented")
+            cover_profile = window_profile(segmented, window_us(cfg.cover_window_s))
+            del segmented
         for device in sorted(base):
-            defend(base.pop(device), reference)
-        del reference
+            defend(base.pop(device), cover_profile)
 
         stage = "attack"
         metrics: dict[str, Metrics] = {}

@@ -392,6 +392,10 @@ def traces_by_device(paths, traces, key: str = "traces") -> dict[str, Trace]:
 # synthesis
 
 
+# The rule for a synthesis duration in seconds: its timestamps fit in 64 bits.
+DURATION = (lambda v: 0 < v * 1e6 < 2**63, "positive and below 2**63 µs (about 9.2e12 s)")
+
+
 def synthesize_trace(
     profile: DeviceProfile,
     duration_s: float,
@@ -406,6 +410,8 @@ def synthesize_trace(
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
+    if not DURATION[0](duration_s):
+        raise ValueError(f"duration_s must be {DURATION[1]}, got {duration_s!r}")
     rng = make_rng(rng)
 
     in_sizes = [l for l, _ in profile.incoming]
@@ -452,6 +458,11 @@ def check_time_overhead(trace: Trace, time_overhead: float) -> None:
         )
 
 
+# Frames planned at a time: their plans are the only per-frame Python objects
+# held. Appending each frame's plan on its own was about 8 % slower.
+_PLAN_ROWS = 1 << 12
+
+
 def obfuscate_trace(
     trace: Trace, config: SegmentationConfig, time_overhead: float, rng: random.Random | int
 ) -> Trace:
@@ -469,20 +480,37 @@ def obfuscate_trace(
         raise ConfigurationError(
             f"header_bytes {header} leaves no payload in {sizes.min()}-byte frames"
         )
-    plans = [segment_lengths(payload, config, rng).lengths for payload in (sizes - header).tolist()]
-    counts = [len(lengths) for lengths in plans]
-    chunks = np.fromiter(chain.from_iterable(plans), np.int64, sum(counts))
+    chunk_column, count_column = array("q"), array("q")  # 8 bytes an entry
+    for start in range(0, len(sizes), _PLAN_ROWS):
+        payloads = (sizes[start : start + _PLAN_ROWS] - header).tolist()
+        plans = [segment_lengths(payload, config, rng).lengths for payload in payloads]
+        chunk_column.extend(chain.from_iterable(plans))
+        count_column.extend(map(len, plans))
+    chunks = np.array(chunk_column, np.int64)
+    del chunk_column
+    counts = np.frombuffer(count_column, np.int64)
+    chunks += header
+    np.negative(chunks, out=chunks, where=np.repeat(trace.signed_size < 0, counts))
     # np.rint rounds half to even, as round() does on the same float product.
     scaled = np.rint(trace.timestamp_us * (1.0 + time_overhead)).astype(np.int64)
-    chunks += header
-    chunks *= np.repeat(np.sign(trace.signed_size), counts)
     columns = np.repeat(scaled, counts), chunks, np.repeat(trace.covered, counts)
     return Trace(*map(_frozen, columns), trace.device, header)
+
+
+def check_mtu_frame(trace: Trace, mtu_frame: int) -> None:
+    """Raise ValueError naming mtu_frame if frames padded up to it could
+    total 2**63 bytes or more over ``trace``, beyond 64 bits."""
+    if len(trace) * mtu_frame >= 2**63:
+        raise ValueError(
+            f"mtu_frame: {mtu_frame} pads {trace.device!r}'s {len(trace)} records "
+            "to a byte total that may not fit in 64 bits"
+        )
 
 
 def pad_trace(trace: Trace, mtu_frame: int, rng: random.Random | int) -> Trace:
     """Random-padding baseline: every frame grows to a uniform size up to
     the frame ceiling; packet count and timing stay unchanged."""
+    check_mtu_frame(trace, mtu_frame)
     rng = make_rng(rng)
     sizes = np.abs(trace.signed_size)
     if (sizes > mtu_frame).any():
@@ -510,11 +538,32 @@ class CoverResult:
         return self.cover_bytes / self.original_bytes
 
 
+def window_starts(timestamp_us: np.ndarray, width_us: int) -> np.ndarray:
+    """The row at which each non-empty window of ``width_us`` starts, in
+    sorted timestamps: each row whose window number differs from the row
+    before it."""
+    windows = timestamp_us // width_us
+    first = np.ones(len(windows), bool)
+    np.not_equal(windows[1:], windows[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def window_profile(trace: Trace, width_us: int) -> Trace:
+    """One record per non-empty window of ``trace``, at the window's start
+    and as large as the window's byte volume. Its window volumes are
+    ``trace``'s, and they are all that inject_cover_traffic reads of a
+    reference, so the profile stands in for the whole trace there."""
+    starts = window_starts(trace.timestamp_us, width_us)
+    volumes = np.add.reduceat(np.abs(trace.signed_size), starts)
+    timestamps = trace.timestamp_us[starts] // width_us * width_us
+    zeros = np.zeros(len(starts), bool)
+    return Trace(_frozen(timestamps), _frozen(volumes), zeros, trace.device, trace.header_bytes)
+
+
 def _window_volumes(trace: Trace, width_us: int) -> dict[int, int]:
     """Byte volume of each non-empty window, by window number, in time order."""
-    windows, starts = np.unique(trace.timestamp_us // width_us, return_index=True)
-    volumes = np.add.reduceat(np.abs(trace.signed_size), starts)
-    return dict(zip(windows.tolist(), volumes.tolist()))
+    profile = window_profile(trace, width_us)
+    return dict(zip((profile.timestamp_us // width_us).tolist(), profile.signed_size.tolist()))
 
 
 # Words of raw generator output replayed at a time: about 1 MB of arrays per
@@ -664,11 +713,12 @@ def inject_cover_traffic(
         out[added] = cover_column
         return _frozen(out)
 
+    # Each cover buffer goes as soon as its merged column is filled.
+    merged_ts = merged(target.timestamp_us, timestamps)
+    del timestamps, cover_ts
+    merged_sizes = merged(target.signed_size, cover)
+    del cover, cover_sizes
     injected = Trace(
-        merged(target.timestamp_us, timestamps),
-        merged(target.signed_size, cover),
-        merged(target.covered, True),
-        target.device,
-        target.header_bytes,
+        merged_ts, merged_sizes, merged(target.covered, True), target.device, target.header_bytes
     )
     return CoverResult(trace=injected, cover_bytes=cover_bytes, original_bytes=target.total_bytes)

@@ -11,7 +11,6 @@ from conftest import brute_force_stump, random_vectors, small_traces
 from segshield.attackeval import (
     FeatureVector,
     ForestNodes,
-    _best_split,
     _bootstrap_rows,
     _rank_keys,
     _search_splits,
@@ -85,6 +84,23 @@ def reference_best_split(X, y, n_classes, feature_ids):
             b = boundary[i]
             best = (f, (float(v_sorted[b]) + float(v_sorted[b + 1])) / 2.0)
     return best
+
+
+def _best_split(values, y, n_classes):
+    """Exhaustive best split over the rows of ``values`` (one row per
+    candidate feature, one column per sample), as (row, threshold), or None
+    when no row varies: ``_search_splits`` on one node."""
+    keys, distinct = _rank_keys(values, y, n_classes)
+    column, threshold = _search_splits(
+        keys,
+        distinct,
+        np.bincount(y, minlength=n_classes)[None, :],
+        [np.arange(len(y))],
+        np.arange(len(values))[None, :],
+    )
+    if column[0] < 0:
+        return None
+    return int(column[0]), float(threshold[0])
 
 
 def walk_predict(model, vectors):

@@ -135,7 +135,7 @@ class TestTracesimCli:
         assert "--duration 0.3 s" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("duration", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0", "1e15"])
     def test_synth_duration_checked_before_the_profile_is_read(self, tmp_path, capsys, duration):
         out = tmp_path / "d.jsonl"
         argv = ["synth", "--profile", str(tmp_path / "nonexistent.json"),
@@ -144,6 +144,15 @@ class TestTracesimCli:
         err = capsys.readouterr().err
         assert err.startswith("error: --duration:") and "nonexistent" not in err
         assert not out.exists()
+
+    def test_pad_ceiling_beyond_64_bits_is_an_error(self, synth_pair, tmp_path, capsys):
+        out = tmp_path / "pad.jsonl"
+        argv = ["pad", "--in", str(synth_pair["bulb-like"]), "--mtu-frame",
+                "4611686018427387904", "--out", str(out)]
+        assert main_tracesim(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mtu_frame: 4611686018427387904 pads 'bulb-like'")
+        assert "Traceback" not in err and not out.exists()
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         code = main_tracesim(

@@ -229,6 +229,31 @@ class TestOneDeviceAtATime:
                 assert {(d, s) for d, s in seen if d != device} <= {reference}, (device, stage)
         assert [stage for _, stage, _ in calls].count("train_forest") == 3
 
+    def test_reference_segmented_trace_is_dead_before_the_first_padding(
+        self, monkeypatch, tmp_path
+    ):
+        segmented = []  # a weak reference to each segmented trace, in order
+        alive_at_padding = []
+        obfuscate, pad = report_module.obfuscate_trace, report_module.pad_trace
+
+        def watched_obfuscate(trace, *args, **kwargs):
+            result = obfuscate(trace, *args, **kwargs)
+            segmented.append((trace.device, weakref.ref(result)))
+            return result
+
+        def watched_pad(trace, *args, **kwargs):
+            alive_at_padding.append([device for device, ref in segmented if ref() is not None])
+            return pad(trace, *args, **kwargs)
+
+        monkeypatch.setattr(report_module, "obfuscate_trace", watched_obfuscate)
+        monkeypatch.setattr(report_module, "pad_trace", watched_pad)
+        run_experiment(self.CONFIG, tmp_path / "out")
+
+        assert segmented[0][0] == "plug-like"
+        assert alive_at_padding[0] == []
+        written = sorted(path.name for path in (tmp_path / "out" / "traces").iterdir())
+        assert "plug-like.segmented.jsonl" in written and len(written) == 9
+
 
 CUSTOM_DEVICE = {"name": "custom", "mean_rate": 2.0, "incoming": [[130, 1.0]]}
 FULL_SEGMENTATION = {"prob": 0.5, "bands": [{"min_seg": 5, "max_seg": 20}]}
@@ -266,6 +291,7 @@ class TestExperimentConfig:
             ({"segmentation": {**FULL_SEGMENTATION, "seed": 1}}, "segmentation.seed"),
             ({"segmentation": {**FULL_SEGMENTATION, "mss": 1460}}, "segmentation.mss"),
             ({"segmentation": {**FULL_SEGMENTATION, "mtu": 1500}}, "segmentation.mtu"),
+            ({"duration_s": 1e15}, "duration_s"),
         ],
     )
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, change, path):
@@ -367,6 +393,20 @@ class TestBadInputsWriteNothing:
         cfg_path.write_text(json.dumps(config))
         assert main_segshield(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: time_overhead: 1e+20 dilates ")
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+
+    def test_mtu_frame_beyond_64_bits(self, tmp_path, capsys):
+        config = {**TINY_PAIR, "mtu_frame": 2**62}
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match=r"^mtu_frame: 4611686018427387904 pads "):
+            run_experiment(config, out)
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main_segshield(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: mtu_frame: 4611686018427387904 pads ")
         assert list((out / "traces").iterdir()) == []
         assert not (out / "report.json").exists()
 

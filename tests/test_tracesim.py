@@ -23,6 +23,8 @@ from segshield.tracesim import (
     obfuscate_trace,
     pad_trace,
     synthesize_trace,
+    window_profile,
+    window_starts,
     window_us,
     write_trace,
 )
@@ -46,6 +48,11 @@ def bucket_volumes(trace, width):
         idx = ts // width
         vols[idx] = vols.get(idx, 0) + abs(size)
     return vols
+
+
+def unique_starts(timestamp_us, width):
+    """The np.unique cut window_starts replaced."""
+    return np.unique(timestamp_us // width, return_index=True)[1]
 
 
 def bucket_cover(target, reference, width, rng):
@@ -483,6 +490,13 @@ class TestSynthesize:
             f"ValueError: duration_s must be positive and finite, got {duration}"
         )
 
+    def test_rejects_duration_beyond_64_bits_before_any_draw(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=r"^duration_s must be positive and below 2\*\*63 µs"):
+            synthesize_trace(FLAT_PROFILE, 1e15, rng)
+        assert rng.getstate() == state
+
     def test_direction_mix(self):
         trace = synthesize_trace(FLAT_PROFILE, 600.0, rng=3)
         outgoing = (trace.signed_size < 0).mean()
@@ -551,6 +565,17 @@ class TestObfuscate:
             obfuscate_trace(mk_trace([130, 400]), low_bandwidth, 1e20, rng)
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_plan_blocks_give_the_same_trace(self, low_bandwidth, monkeypatch, block):
+        trace = mk_trace([130, 400, -144, 1582, -1582] * 4)
+        expected = obfuscate_trace(trace, low_bandwidth, 0.2, rng=5)
+        monkeypatch.setattr(tracesim, "_PLAN_ROWS", block)
+        assert obfuscate_trace(trace, low_bandwidth, 0.2, rng=5) == expected
+
+    def test_zero_record_trace(self, low_bandwidth):
+        out = obfuscate_trace(mk_trace([]), low_bandwidth, 0.2, rng=0)
+        assert len(out) == 0 and out == mk_trace([])
+
     def test_deterministic(self, low_bandwidth):
         trace = mk_trace([130, 400, -144] * 20)
         assert obfuscate_trace(trace, low_bandwidth, 0.2, rng=8) == obfuscate_trace(
@@ -579,6 +604,20 @@ class TestPadTrace:
     def test_oversize_record_rejected(self):
         with pytest.raises(ValueError):
             pad_trace(mk_trace([2000]), 1582, rng=0)
+
+    def test_rejects_ceiling_beyond_64_bits_before_any_draw(self):
+        # Eight frames padded up to 2**62 bytes may total 2**65: the int64
+        # total_bytes would wrap.
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=r"^mtu_frame: 4611686018427387904 pads 'dev'"):
+            pad_trace(mk_trace([130, -116, 400, 1582] * 2), 2**62, rng)
+        assert rng.getstate() == state
+
+    def test_ceiling_just_within_64_bits_pads(self):
+        ceiling = (2**63 - 1) // 8
+        out = pad_trace(mk_trace([130, -116, 400, 1582] * 2), ceiling, rng=0)
+        assert out.total_bytes == sum(abs(size) for size in out.signed_size.tolist())
 
     @given(seed=st.integers(0, 2**32))
     def test_padded_sizes_bounded(self, seed):
@@ -721,6 +760,23 @@ class TestCoverTraffic:
         with pytest.raises(ValueError, match="beyond 64 bits"):
             inject_cover_traffic(low, high, window_s=5e12, rng=0)
 
+    @given(
+        target=small_traces(min_size=1),
+        reference=small_traces(device="ref"),
+        width=st.sampled_from([1, 1000, 500_000, 2_000_000, 30_000_000, 2**41 + 3]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_window_profile_stands_in_for_the_reference(self, target, reference, width, seed):
+        profile = window_profile(reference, width)
+        assert _window_volumes(profile, width) == _window_volumes(reference, width)
+        assert profile.device == reference.device and not profile.covered.any()
+        rng, oracle = random.Random(seed), random.Random(seed)
+        result = inject_cover_traffic(target, profile, width / 1e6, rng=rng)
+        expected = inject_cover_traffic(target, reference, width / 1e6, rng=oracle)
+        assert result.trace == expected.trace
+        assert result.cover_bytes == expected.cover_bytes
+        assert rng.getstate() == oracle.getstate()
+
     def test_cover_flag_metadata_only(self):
         low = mk_trace([130] * 5, step_us=1_000_000)
         high = mk_trace([400] * 50, step_us=100_000)
@@ -728,3 +784,21 @@ class TestCoverTraffic:
         original = as_rows(low)
         assert all(row[2] for row in as_rows(result.trace) if row not in original)
         assert result.original_bytes == low.total_bytes
+
+
+class TestWindowStarts:
+    @given(
+        trace=small_traces(),
+        width=st.one_of(
+            st.integers(1, 5_000_000), st.integers(2**40 - 5, 2**41), st.just(2**63 - 1)
+        ),
+    )
+    def test_matches_the_unique_cut(self, trace, width):
+        starts = window_starts(trace.timestamp_us, width)
+        assert starts.tolist() == unique_starts(trace.timestamp_us, width).tolist()
+        assert _window_volumes(trace, width) == bucket_volumes(trace, width)
+
+    def test_one_window_per_run_of_equal_window_numbers(self):
+        timestamps = np.array([0, 5, 9, 10, 10, 35, 99, 100])
+        assert window_starts(timestamps, 10).tolist() == [0, 3, 5, 6, 7]
+        assert window_starts(timestamps[:0], 10).tolist() == []
