@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import RawWords, below_draws, derive_seed, make_rng
+from .rng import derive_seed, make_rng
 from .tracesim import Trace, window_starts, window_us
 
 DEFAULT_VECTOR_LEN = 200
@@ -293,18 +293,18 @@ def _search_splits(
 
 
 def _bootstrap_rows(rng: random.Random, n: int) -> np.ndarray:
-    """``[rng.randrange(n) for _ in range(n)]`` as one array, drawn from the
-    raw words, with ``rng`` left where those calls would leave it."""
-    words = RawWords(rng)
-    # A draw takes 2**n.bit_length() / n < 2 attempts on average.
-    size = 2 * n + 4 * isqrt(n) + 64
-    while True:
-        values, accepted, width = below_draws(words.peek(size), n)
-        taken = np.flatnonzero(accepted[::width])[:n]
-        if len(taken) == n:
-            words.advance(width * (int(taken[-1]) + 1))
-            return values[::width][taken].astype(np.int64)
-        size *= 2
+    """``[rng.randrange(n) for _ in range(n)]`` as one array, drawn as
+    CPython draws it: ``getrandbits(k)`` until the value is below ``n``.
+    Inlined, it costs no Python frame per row."""
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    rows = []
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        rows.append(r)
+    return np.array(rows, np.int64)
 
 
 def _grow_forest(

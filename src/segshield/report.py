@@ -31,6 +31,7 @@ from .rng import derive_seed
 from .segcore import SegmentationConfig
 from .tracesim import (
     Trace,
+    check_header_bytes,
     check_mtu_frame,
     check_time_overhead,
     ingest_trace,
@@ -115,6 +116,8 @@ class Report:
 
 
 _DEVICES = (list, (lambda v: len(v) >= 2, "two or more entries"))
+# The device name of each overhead table's totals row, so no device's own.
+_TOTAL = "total"
 _TRACES = (list, tracesim.TRACE_PATHS)
 _UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 
@@ -184,6 +187,9 @@ class ExperimentConfig:
             names = [p.name for p in devices]
             if len(set(names)) < len(names):
                 raise ConfigurationError(f"devices: device names repeat in {names}")
+            if _TOTAL in names:
+                i = names.index(_TOTAL)
+                raise ConfigurationError(f"devices[{i}]: the name {_TOTAL!r} is reserved")
             values["devices"] = tuple(devices)
         else:
             values["traces"] = tuple(values["traces"])
@@ -278,6 +284,9 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         # Exactly one of cfg.traces and cfg.devices is non-empty.
         read = (ingest_trace(path, header_bytes=cfg.header_bytes) for path in cfg.traces)
         base = traces_by_device(cfg.traces, read)
+        for path, device in zip(cfg.traces, base):  # base holds one device per path, in order
+            if device == _TOTAL:
+                raise ConfigurationError(f"traces: {path} holds device {_TOTAL!r}, a reserved name")
         for i, profile in enumerate(cfg.devices):
             base[profile.name] = synthesize_trace(
                 profile,
@@ -295,6 +304,7 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         for device in base:  # by name, so that no input outlives its turn below
             try:
                 check_time_overhead(base[device], cfg.time_overhead)
+                check_header_bytes(base[device])
                 check_mtu_frame(base[device], cfg.mtu_frame)
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from None
@@ -333,7 +343,7 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
 
     for rows in overheads.values():
         # Totals aggregate raw bytes first, then divide.
-        rows["total"] = OverheadResult(
+        rows[_TOTAL] = OverheadResult(
             *(sum(getattr(r, f.name) for r in rows.values()) for f in fields(OverheadResult))
         )
 

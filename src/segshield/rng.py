@@ -39,8 +39,8 @@ def draws_as_random(rng: random.Random) -> bool:
     gets ``_randbelow_without_getrandbits`` (CPython's ``__init_subclass__``),
     which draws through ``random()`` instead; one that overrides
     ``_randbelow``, ``getrandbits``, ``randrange`` or ``randint`` draws its
-    own way too. Code that replays or inlines the ``getrandbits`` loop makes
-    the draws of ``randrange`` and ``randint`` only when this is true.
+    own way too. Code that inlines the ``getrandbits`` loop makes the draws
+    of ``randrange`` and ``randint`` only when this is true.
     """
     cls = type(rng)
     return cls is random.Random or (
@@ -51,43 +51,9 @@ def draws_as_random(rng: random.Random) -> bool:
     )
 
 
-class RawWords:
-    """The 32-bit words of a ``random.Random``'s MT19937 stream, as numpy
-    arrays, so a loop of scalar draws can be replayed on whole blocks.
-
-    ``peek(n)`` returns the next ``n`` words and leaves the generator where
-    it was; ``advance(k)`` moves the generator past ``k`` words, so a caller
-    that advances by the words its replayed draws took leaves the generator
-    where those scalar calls would have left it. Both rest on CPython's
-    ``getrandbits(32 * n)``, which returns the next ``n`` words of the
-    stream, the first in the lowest bits.
-    """
-
-    def __init__(self, rng: random.Random):
-        if not draws_as_random(rng):
-            raise TypeError(
-                f"rng must draw as random.Random does, but {type(rng).__name__} "
-                "draws integers its own way"
-            )
-        self._rng = rng
-
-    def peek(self, n: int):
-        """The next ``n`` words, as a uint64 array of values below 2**32."""
-        # numpy is imported here, not at module level, so the live sender,
-        # which imports this module, does not load numpy at start-up.
-        import numpy as np
-
-        state = random.Random.getstate(self._rng)
-        words = self._rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-        random.Random.setstate(self._rng, state)
-        return np.frombuffer(words, "<u4").astype(np.uint64)
-
-    def advance(self, k: int) -> None:
-        self._rng.getrandbits(32 * k)
-
-
 def below_draws(words, n: int):
-    """Every attempt ``randrange(n)`` could make, starting at each word.
+    """Every attempt ``randrange(n)`` could make, starting at each word of
+    ``words``, a uint64 array of a generator's 32-bit words in stream order.
 
     CPython draws ``randrange(n)`` as ``getrandbits(k)``, k = n.bit_length(),
     repeated until the value is below ``n``. ``getrandbits(k)`` takes

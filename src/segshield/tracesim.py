@@ -16,14 +16,14 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, TraceFormatError, TraceRecordError
 from .profiles import DeviceProfile
-from .rng import RawWords, below_draws, make_rng
+from .rng import below_draws, make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, pad_packet_random, segment_lengths
 
 DEFAULT_HEADER_BYTES = 82  # MAC-level frame header; IP-level accounting uses 54
@@ -62,8 +62,9 @@ class Trace:
     length: ``timestamp_us`` (int64), ``signed_size`` (int64, negative is
     outgoing) and ``covered`` (bool). Every trace rule is checked here,
     whichever code built the trace: no size is zero, no timestamp is
-    negative, timestamps never decrease. A broken rule raises
-    TraceRecordError naming the first bad record.
+    negative, timestamps never decrease, and the absolute sizes total below
+    2**63 bytes, so that every byte sum fits in 64 bits. A broken rule
+    raises TraceRecordError naming the first bad record.
 
     A column that is a read-only array owning its memory is adopted as it
     is; any other column is copied, so no later write to it reaches the
@@ -105,6 +106,11 @@ class Trace:
                 else f"timestamp_us {ts[i]} is before the previous {ts[i - 1]}",
                 i,
             )
+        # Exact in Python ints: np.abs(-2**63) wraps to itself.
+        if len(size) and max(-int(size.min()), int(size.max())) * len(size) >= 2**63:
+            for i, total in enumerate(accumulate(map(abs, size.tolist()))):
+                if total >= 2**63:
+                    raise TraceRecordError(f"sizes total {total} bytes here, 2**63 or more", i)
 
     def __len__(self) -> int:
         return len(self.timestamp_us)
@@ -458,6 +464,17 @@ def check_time_overhead(trace: Trace, time_overhead: float) -> None:
         )
 
 
+def check_header_bytes(trace: Trace) -> None:
+    """Raise ConfigurationError naming header_bytes unless every frame of
+    ``trace`` holds more than its header: segmentation needs a payload."""
+    sizes = np.abs(trace.signed_size)
+    if len(sizes) and trace.header_bytes >= sizes.min():
+        raise ConfigurationError(
+            f"header_bytes: {trace.header_bytes} leaves no payload in {trace.device!r}'s "
+            f"{sizes.min()}-byte frames"
+        )
+
+
 # Frames planned at a time: their plans are the only per-frame Python objects
 # held. Appending each frame's plan on its own was about 8 % slower.
 _PLAN_ROWS = 1 << 12
@@ -473,13 +490,10 @@ def obfuscate_trace(
     (1 + time_overhead). Total payload bytes are conserved exactly.
     """
     check_time_overhead(trace, time_overhead)
+    check_header_bytes(trace)
     rng = make_rng(rng)
     header = trace.header_bytes
     sizes = np.abs(trace.signed_size)
-    if len(trace) and header >= sizes.min():
-        raise ConfigurationError(
-            f"header_bytes {header} leaves no payload in {sizes.min()}-byte frames"
-        )
     chunk_column, count_column = array("q"), array("q")  # 8 bytes an entry
     for start in range(0, len(sizes), _PLAN_ROWS):
         payloads = (sizes[start : start + _PLAN_ROWS] - header).tolist()
@@ -498,12 +512,20 @@ def obfuscate_trace(
 
 
 def check_mtu_frame(trace: Trace, mtu_frame: int) -> None:
-    """Raise ValueError naming mtu_frame if frames padded up to it could
-    total 2**63 bytes or more over ``trace``, beyond 64 bits."""
+    """Raise ValueError naming mtu_frame if a frame of ``trace`` is above
+    it, or if frames padded up to it could total 2**63 bytes or more over
+    ``trace``, beyond 64 bits."""
     if len(trace) * mtu_frame >= 2**63:
         raise ValueError(
             f"mtu_frame: {mtu_frame} pads {trace.device!r}'s {len(trace)} records "
             "to a byte total that may not fit in 64 bits"
+        )
+    above = np.abs(trace.signed_size) > mtu_frame
+    if above.any():
+        i = int(above.argmax())
+        raise ValueError(
+            f"mtu_frame: {mtu_frame} is below {trace.device!r}'s record {i}, "
+            f"{abs(int(trace.signed_size[i]))} bytes"
         )
 
 
@@ -513,9 +535,6 @@ def pad_trace(trace: Trace, mtu_frame: int, rng: random.Random | int) -> Trace:
     check_mtu_frame(trace, mtu_frame)
     rng = make_rng(rng)
     sizes = np.abs(trace.signed_size)
-    if (sizes > mtu_frame).any():
-        i = int((sizes > mtu_frame).argmax())
-        raise ValueError(f"record {i} is {sizes[i]} bytes, above the {mtu_frame}-byte ceiling")
     padded = [pad_packet_random(size, mtu_frame, rng) for size in sizes.tolist()]
     padded = np.array(padded, np.int64) * np.sign(trace.signed_size)
     # The timestamp and covered columns are the input's own, shared read-only.
@@ -566,7 +585,7 @@ def _window_volumes(trace: Trace, width_us: int) -> dict[int, int]:
     return dict(zip((profile.timestamp_us // width_us).tolist(), profile.signed_size.tolist()))
 
 
-# Words of raw generator output replayed at a time: about 1 MB of arrays per
+# Words of raw generator output read at a time: about 1 MB of arrays per
 # block, whatever the size of the cover trace. Larger blocks were no faster.
 _COVER_BLOCK_WORDS = 1 << 14
 
@@ -609,30 +628,36 @@ def _follow_records(pick_ok, pick_width: int, offset_ok, offset_width: int, size
     return pick_at[starts], offset_at[starts]
 
 
-def _cover_records(words: RawWords, pool_size: int, width_us: int):
+def _cover_records(rng: random.Random, carried, pool_size: int, width_us: int):
     """Replay the cover loop's draws over the next block of raw words.
 
     Each cover record is a ``randrange(pool_size)`` pick, then a
-    ``randrange(width_us)`` offset, each repeated until accepted. Returns
-    the picks, the offsets and the word after each record (counted from
-    the block's start), for every whole record in the block, in draw order.
+    ``randrange(width_us)`` offset, each repeated until accepted. The block
+    is ``carried``, the words the last block left undrawn, then fresh words
+    read from ``rng`` _COVER_BLOCK_WORDS at a time until it holds a whole
+    record. Returns the picks and offsets of every whole record in the
+    block, in draw order, and the words after the last, which start the next
+    block.
     """
-    size = _COVER_BLOCK_WORDS
+    n, block = _COVER_BLOCK_WORDS, carried
     while True:
-        block = words.peek(size)
+        # getrandbits(32 * n) is the next n words, the first in the lowest bits.
+        fresh = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+        block = np.concatenate([block, np.frombuffer(fresh, "<u4")])
         picks, pick_ok, pick_width = below_draws(block, pool_size)
         offsets, offset_ok, offset_width = below_draws(block, width_us)
-        pick_at, offset_at = _follow_records(pick_ok, pick_width, offset_ok, offset_width, size)
+        pick_at, offset_at = _follow_records(
+            pick_ok, pick_width, offset_ok, offset_width, len(block)
+        )
         if len(pick_at):
-            return picks[pick_at], offsets[offset_at], offset_at + offset_width
-        size *= 2  # not one whole record in the block: read a longer one
+            return picks[pick_at], offsets[offset_at], block[offset_at[-1] + offset_width :]
 
 
 def inject_cover_traffic(
     target: Trace,
     reference: Trace,
     window_s: float,
-    rng: random.Random | int = 0,
+    seed: int,
 ) -> CoverResult:
     """Add flagged cover packets to ``target`` until its per-window byte
     volume matches ``reference``'s (within one packet, and only upward).
@@ -641,13 +666,14 @@ def inject_cover_traffic(
     so the filler does not import the reference's size fingerprint.
 
     The draws are those of a loop that, for each cover packet, calls
-    ``rng.randrange(len(target))`` for the record to copy and then
-    ``rng.randrange(width)`` for the offset in the window, and ``rng`` is
-    left where that loop would leave it. ``rng`` must draw integers as
-    ``random.Random`` does (``rng.draws_as_random``; TypeError otherwise).
+    ``randrange(len(target))`` for the record to copy and then
+    ``randrange(width)`` for the offset in the window, on a
+    ``random.Random(seed)``; each of its raw words is read once. ``seed``
+    must be an int (TypeError otherwise).
     """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     width = window_us(window_s)
-    words = RawWords(make_rng(rng))
     target_volumes = _window_volumes(target, width)
     deficits = [
         (idx, volume - target_volumes.get(idx, 0))
@@ -661,24 +687,24 @@ def inject_cover_traffic(
 
     cover_ts = array("q")  # 8 bytes an entry; a cover trace can hold millions
     cover_sizes = array("q")
-    picks = offsets = ends = np.zeros(0, np.int64)  # the block's records, in draw order
+    picks = offsets = np.zeros(0, np.int64)  # the block's records, in draw order
+    rng, rest = random.Random(seed), np.zeros(0, np.uint64)  # rest: words read, not drawn
     spent = [0]  # spent[i]: bytes of the block's first i records
     used = 0  # records of the block placed so far
     windows, stops = [], []  # the block's records from stops[i - 1] to stops[i] go to windows[i]
 
     def place():
-        """Append the placed records to the cover; move rng past their draws."""
+        """Append the block's placed records to the cover."""
         counts = np.diff(np.array(stops, np.int64), prepend=0)
         ts = np.repeat(np.array(windows, np.int64) * width, counts) + offsets[:used].astype(np.int64)
         cover_ts.frombytes(ts.tobytes())
         cover_sizes.frombytes(target.signed_size[picks[:used]].tobytes())
-        words.advance(int(ends[used - 1]) if used else 0)
 
     for idx, deficit in deficits:
         while deficit > 0:
             if used == len(picks):  # the block is used up: place it, replay the next one
                 place()
-                picks, offsets, ends = _cover_records(words, len(target), width)
+                picks, offsets, rest = _cover_records(rng, rest, len(target), width)
                 spent = [0, *np.cumsum(np.abs(target.signed_size[picks])).tolist()]
                 used = 0
                 windows, stops = [], []

@@ -154,10 +154,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             run_experiment({**TINY_PAIR, "traces": ["x.jsonl"]})
 
-    def test_stage_failure_names_stage(self, tmp_path):
-        config = {**TINY_PAIR, "mtu_frame": 100}  # every frame oversize
+    def test_stage_failure_names_stage(self, monkeypatch, tmp_path):
+        # Bad inputs fail before any write, so a late failure is a stage's own.
+        def broken_padding(*args, **kwargs):
+            raise RuntimeError("broken padding")
+
+        monkeypatch.setattr(report_module, "pad_trace", broken_padding)
         with pytest.raises(StageError) as err:
-            run_experiment(config, tmp_path / "out")
+            run_experiment(TINY_PAIR, tmp_path / "out")
         assert err.value.stage == "padding"
         # artifacts from the completed stage survive
         assert (tmp_path / "out" / "traces" / "bulb-like.undefended.jsonl").exists()
@@ -407,6 +411,50 @@ class TestBadInputsWriteNothing:
         cfg_path.write_text(json.dumps(config))
         assert main_segshield(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: mtu_frame: 4611686018427387904 pads ")
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+
+    def test_header_bytes_leaving_no_payload(self, tmp_path):
+        config = {**TINY_PAIR, "header_bytes": 110}
+        out = tmp_path / "out"
+        with pytest.raises(
+            ConfigurationError, match=r"^header_bytes: 110 leaves no payload in 'bulb-like''s "
+        ):
+            run_experiment(config, out)
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("cover", [False, True])
+    def test_frame_above_mtu_frame(self, tmp_path, cover):
+        large = {**CUSTOM_DEVICE, "name": "large", "incoming": [[2000, 1.0]]}
+        config = {**TINY_PAIR, "devices": ["bulb-like", large]}
+        if cover:  # the cover reference's segmented arm is written first
+            config["cover"] = {"enabled": True, "reference": "large"}
+        out = tmp_path / "out"
+        with pytest.raises(
+            ConfigurationError, match=r"^mtu_frame: 1582 is below 'large''s record 0, 2000 bytes$"
+        ):
+            run_experiment(config, out)
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+
+    def test_device_named_total(self, tmp_path):
+        config = {**TINY_PAIR, "devices": ["bulb-like", {**CUSTOM_DEVICE, "name": "total"}]}
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError) as err:
+            run_experiment(config, out)
+        assert str(err.value) == "devices[1]: the name 'total' is reserved"
+        assert not out.exists()
+
+    def test_trace_labelled_total(self, tmp_path):
+        good = self._write(tmp_path, "a.jsonl", "bulb-like", 1)
+        total = tmp_path / "b.jsonl"
+        device = resolve_device({**CUSTOM_DEVICE, "name": "total"}, "device")
+        write_trace(synthesize_trace(device, 120, 2), total)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError) as err:
+            run_experiment({"traces": [good, str(total)], "n_trees": 5}, out)
+        assert str(err.value) == f"traces: {total} holds device 'total', a reserved name"
         assert list((out / "traces").iterdir()) == []
         assert not (out / "report.json").exists()
 

@@ -1,8 +1,9 @@
-"""The raw-word reader against random.Random on this interpreter.
+"""The raw MT19937 words against random.Random on this interpreter.
 
-Cover injection replays CPython's scalar draws from the raw MT19937 words.
-Python promises a stable stream only for random(); these tests fail if
-getrandbits or randrange ever draw differently from what the replay assumes.
+Cover injection replays CPython's scalar draws from the raw words, read
+with getrandbits(32 * n). Python promises a stable stream only for
+random(); these tests fail if getrandbits or randrange ever draw differently
+from what the replay assumes.
 """
 
 import random
@@ -10,18 +11,24 @@ import random
 import numpy as np
 import pytest
 
-from segshield.rng import RawWords, below_draws, draws_as_random
+from segshield.rng import below_draws, draws_as_random
+
+
+def read_words(rng, n):
+    """The next ``n`` words of ``rng``, read as cover injection reads them."""
+    words = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+    return np.frombuffer(words, "<u4").astype(np.uint64)
 
 
 def test_words_are_getrandbits_32():
-    words = RawWords(random.Random(11)).peek(2000)
+    words = read_words(random.Random(11), 2000)
     expected = random.Random(11)
     assert words.tolist() == [expected.getrandbits(32) for _ in range(2000)]
 
 
 def test_random_is_two_words():
     # random() = (a >> 5, b >> 6) as a 53-bit fraction, a and b two words.
-    words = RawWords(random.Random(12)).peek(2000).tolist()
+    words = read_words(random.Random(12), 2000).tolist()
     expected = random.Random(12)
     for a, b in zip(words[::2], words[1::2]):
         assert ((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992 == expected.random()
@@ -44,14 +51,14 @@ def replay_randrange(words, n):
      2**40, 2**63 - 1],
 )
 def test_randrange_replay(n):
-    draws = replay_randrange(RawWords(random.Random(n)).peek(3000), n)
+    draws = replay_randrange(read_words(random.Random(n), 3000), n)
     expected = random.Random(n)
     assert len(draws) > 500
     assert draws == [expected.randrange(n) for _ in draws]
 
 
 def test_below_draws_rejects_out_of_range():
-    words = RawWords(random.Random(0)).peek(4)
+    words = read_words(random.Random(0), 4)
     for n in (0, 2**64):
         with pytest.raises(ValueError, match="n must lie"):
             below_draws(words, n)
@@ -59,30 +66,17 @@ def test_below_draws_rejects_out_of_range():
 
 @pytest.mark.parametrize("used", [0, 1, 623, 624, 625, 5000])
 def test_advance_leaves_generator_where_scalar_calls_would(used):
+    # Blocks read one after another go on with the stream as scalar calls do.
     rng = random.Random(7)
     rng.gauss(0, 1)  # the cached second normal must survive too
     expected = random.Random(7)
     expected.gauss(0, 1)
-    words = RawWords(rng)
-    words.peek(used + 100)
-    words.advance(used // 2)
-    words.peek(3 * used + 7)
-    words.advance(used - used // 2)
-    for _ in range(used):
-        expected.getrandbits(32)
+    first, second = read_words(rng, used // 2 + 1), read_words(rng, used - used // 2 + 1)
+    words = [*first.tolist(), *second.tolist()]
+    assert words == [expected.getrandbits(32) for _ in range(used + 2)]
     assert rng.getstate() == expected.getstate()
     assert rng.gauss(0, 1) == expected.gauss(0, 1)
     assert rng.random() == expected.random()
-
-
-def test_peek_does_not_move_the_generator():
-    rng = random.Random(3)
-    words = RawWords(rng)
-    assert np.array_equal(words.peek(10), words.peek(10))
-    assert rng.getstate() == random.Random(3).getstate()
-    first = words.peek(10)
-    words.advance(4)
-    assert np.array_equal(words.peek(6), first[4:])
 
 
 class OwnRandom(random.Random):
@@ -126,16 +120,11 @@ DRAW_THEIR_OWN_WAY = [OwnRandom, OwnBits, OwnBelow, OwnRandrange, OwnRandint, ra
 @pytest.mark.parametrize("cls", DRAW_THEIR_OWN_WAY)
 def test_subclass_that_draws_differently_is_rejected(cls):
     assert not draws_as_random(cls(1))
-    with pytest.raises(TypeError, match="rng must draw as random.Random does"):
-        RawWords(cls(1))
 
 
 @pytest.mark.parametrize("cls", [random.Random, Harmless, HarmlessOfOwnRandom])
 def test_subclass_that_draws_as_random_is_accepted(cls):
     assert draws_as_random(cls(5))
-    words = RawWords(cls(5)).peek(3)
-    expected = random.Random(5)
-    assert words.tolist() == [expected.getrandbits(32) for _ in range(3)]
     # The premise of the check: randint is the getrandbits rejection loop.
     rng, oracle = cls(6), random.Random(6)
     assert [rng.randint(3, 700) for _ in range(500)] == [oracle.randint(3, 700) for _ in range(500)]

@@ -158,6 +158,14 @@ class TestRecordAndTrace:
         with pytest.raises(ValueError, match="record 1: timestamp_us 50"):
             Trace([100, 50], [60, 60], [False, False], "d")
 
+    def test_sizes_total_below_2_63(self):
+        assert Trace([0, 1], [2**62, 1 - 2**62], [False, False], "d").total_bytes == 2**63 - 1
+        with pytest.raises(TraceRecordError, match=f"^record 1: sizes total {2**63} bytes here"):
+            Trace([0, 1], [2**62, -(2**62)], [False, False], "d")
+        # np.abs(-2**63) is -2**63 in int64.
+        with pytest.raises(TraceRecordError, match=f"^record 0: sizes total {2**63} bytes here"):
+            Trace([0], [-(2**63)], [False], "d")
+
     @pytest.mark.parametrize(
         "columns,index",
         [
@@ -406,7 +414,9 @@ class TestTraceIO:
     def test_written_files_are_read_as_columns(self, tmp_path, monkeypatch, device, rows, shift):
         rng = np.random.default_rng(rows)
         timestamps = np.sort(rng.integers(0, 2**63 - 1, rows) >> rng.integers(0, 63, rows))
-        sizes = rng.integers(-(2**63), 2**63 - 1, rows) >> rng.integers(0, 64, rows)
+        # Sizes stay below 2**63 in total, which a trace must.
+        bound = (2**63 - 1) // rows
+        sizes = rng.integers(-bound, bound, rows) >> rng.integers(0, 64, rows)
         trace = Trace(timestamps, np.where(sizes == 0, 1, sizes), rng.random(rows) < 0.3, device)
         path = tmp_path / "t.jsonl"
         write_trace(trace, path)
@@ -426,6 +436,34 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError) as err:
             ingest_trace(path)
         assert str(err.value) == "line 3: signed_size must be nonzero"
+
+    @pytest.mark.parametrize(
+        "sizes,index,total",
+        [([2**62, 2**62], 1, 2**63), ([-(2**63)], 0, 2**63), ([5, 2**63 - 1], 1, 2**63 + 4)],
+    )
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_sizes_totalling_2_63_are_rejected(
+        self, tmp_path, monkeypatch, sizes, index, total, format
+    ):
+        # int64 byte sums would wrap: 2**62 + 2**62 reads as -2**63.
+        rows = [
+            {"covered": False, "device": "dev", "signed_size": size, "timestamp_us": t}
+            for t, size in enumerate(sizes)
+        ]
+        path = tmp_path / f"t.{format}"
+        if format == "jsonl":  # write_trace's own format, read as columns
+            path.write_text("".join(map(written_line, rows)))
+            monkeypatch.setattr(tracesim, "_ingest_lines", refuse_line_by_line)
+            line = index + 1
+        else:  # read line by line, after a header line
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, ["timestamp_us", "signed_size", "covered", "device"])
+                writer.writeheader()
+                writer.writerows(rows)
+            line = index + 2
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert str(err.value) == f"line {line}: sizes total {total} bytes here, 2**63 or more"
 
 
 class TestDeviceProfile:
@@ -631,7 +669,7 @@ class TestPadTrace:
 class TestCoverTraffic:
     def test_reference_equal_to_target_needs_no_cover(self):
         trace = mk_trace([130, -116] * 50)
-        result = inject_cover_traffic(trace, trace, window_s=30, rng=0)
+        result = inject_cover_traffic(trace, trace, window_s=30, seed=0)
         assert result.cover_bytes == 0
         assert result.trace == trace
 
@@ -642,7 +680,7 @@ class TestCoverTraffic:
             [rng.choice([400, 482, -360]) for _ in range(400)], step_us=70_000
         )
         window_us = 10 * 10**6
-        result = inject_cover_traffic(low, high, window_s=10, rng=7)
+        result = inject_cover_traffic(low, high, window_s=10, seed=7)
         max_packet = int(np.abs(low.signed_size).max())
 
         def volumes(trace):
@@ -663,34 +701,34 @@ class TestCoverTraffic:
     def test_strip_restores_input_exactly(self):
         low = mk_trace([130] * 20, step_us=1_000_000)
         high = mk_trace([400] * 200, step_us=100_000)
-        result = inject_cover_traffic(low, high, window_s=5, rng=3)
+        result = inject_cover_traffic(low, high, window_s=5, seed=3)
         assert result.cover_bytes > 0
         assert result.trace.without_cover() == low
 
     def test_cover_sizes_come_from_target(self):
         low = mk_trace([130, -134] * 10, step_us=1_000_000)
         high = mk_trace([997] * 200, step_us=100_000)
-        result = inject_cover_traffic(low, high, window_s=5, rng=9)
+        result = inject_cover_traffic(low, high, window_s=5, seed=9)
         cover_sizes = set(np.abs(result.trace.signed_size[result.trace.covered]).tolist())
         assert cover_sizes <= {130, 134}
 
     def test_asymmetric_volume_asymmetric_cover(self):
         quiet = mk_trace([130] * 30, step_us=1_000_000, device="quiet")
         busy = mk_trace([482] * 600, step_us=50_000, device="busy")
-        quiet_cover = inject_cover_traffic(quiet, busy, 10, rng=1)
-        busy_cover = inject_cover_traffic(busy, quiet, 10, rng=1)
+        quiet_cover = inject_cover_traffic(quiet, busy, 10, seed=1)
+        busy_cover = inject_cover_traffic(busy, quiet, 10, seed=1)
         assert busy_cover.cover_bytes == 0
         assert quiet_cover.cover_fraction > 10 * busy_cover.cover_fraction
 
     def test_zero_window_rejected(self):
         trace = mk_trace([130])
         with pytest.raises(ValueError):
-            inject_cover_traffic(trace, trace, window_s=0, rng=0)
+            inject_cover_traffic(trace, trace, window_s=0, seed=0)
 
     def test_window_below_one_microsecond_rejected(self):
         trace = mk_trace([130])
         with pytest.raises(ValueError, match="window_s"):
-            inject_cover_traffic(trace, trace, window_s=1e-7, rng=0)
+            inject_cover_traffic(trace, trace, window_s=1e-7, seed=0)
 
     @given(
         target=small_traces(min_size=1),
@@ -701,7 +739,7 @@ class TestCoverTraffic:
     def test_matches_bucket_loop(self, target, reference, width, seed):
         for trace in (target, reference):
             assert _window_volumes(trace, width) == bucket_volumes(trace, width)
-        result = inject_cover_traffic(target, reference, width / 1e6, rng=seed)
+        result = inject_cover_traffic(target, reference, width / 1e6, seed=seed)
         expected, cover_bytes = bucket_cover(target, reference, width, random.Random(seed))
         assert result.trace == expected
         assert result.cover_bytes == cover_bytes
@@ -715,19 +753,17 @@ class TestCoverTraffic:
         stretch=st.sampled_from([1, 5_000, 2_000_000]),
         seed=st.integers(0, 2**32),
     )
-    def test_generator_ends_where_the_bucket_loop_leaves_it(
-        self, target, reference, window_s, stretch, seed
-    ):
+    def test_wide_windows_match_the_bucket_loop(self, target, reference, window_s, stretch, seed):
         # Windows of 2**32 µs and more take two words per offset draw.
         target, reference = (
             replace(trace, timestamp_us=trace.timestamp_us * stretch) for trace in (target, reference)
         )
-        rng, oracle = random.Random(seed), random.Random(seed)
-        result = inject_cover_traffic(target, reference, window_s, rng=rng)
-        expected, cover_bytes = bucket_cover(target, reference, window_us(window_s), oracle)
+        result = inject_cover_traffic(target, reference, window_s, seed=seed)
+        expected, cover_bytes = bucket_cover(
+            target, reference, window_us(window_s), random.Random(seed)
+        )
         assert result.trace == expected
         assert result.cover_bytes == cover_bytes
-        assert rng.getstate() == oracle.getstate()
 
     @given(
         target=small_traces(min_size=1),
@@ -736,29 +772,61 @@ class TestCoverTraffic:
         seed=st.integers(0, 2**32),
     )
     def test_short_blocks_give_the_same_draws(self, target, reference, block, seed):
-        # Records cross block ends, and a block too short for one record is read again longer.
-        rng, oracle = random.Random(seed), random.Random(seed)
+        # Records cross block ends, and a block too short for one record is read on into more.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tracesim, "_COVER_BLOCK_WORDS", block)
-            result = inject_cover_traffic(target, reference, 0.5, rng=rng)
-        expected, cover_bytes = bucket_cover(target, reference, 500_000, oracle)
+            result = inject_cover_traffic(target, reference, 0.5, seed=seed)
+        expected, cover_bytes = bucket_cover(target, reference, 500_000, random.Random(seed))
         assert result.trace == expected
-        assert rng.getstate() == oracle.getstate()
+        assert result.cover_bytes == cover_bytes
+
+    @given(
+        target=small_traces(min_size=1),
+        reference=small_traces(device="ref"),
+        window_s=st.sampled_from([0.5, 5000.0]),
+        block=st.sampled_from([1, 2, 3, 8, 1 << 14]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_reads_no_word_twice(self, target, reference, window_s, block, seed):
+        # Every word the bucket loop draws, and at most one block of read-ahead.
+        requested = []
+        getrandbits = random.Random.getrandbits
+
+        def counted(rng, k):
+            requested.append(-(-k // 32))
+            return getrandbits(rng, k)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(random.Random, "getrandbits", counted)
+            patch.setattr(tracesim, "_COVER_BLOCK_WORDS", block)
+            inject_cover_traffic(target, reference, window_s, seed)
+            read = sum(requested)
+            requested.clear()
+            bucket_cover(target, reference, window_us(window_s), random.Random(seed))
+        drawn = sum(requested)
+        assert drawn <= read <= drawn + block - 1
 
     @pytest.mark.parametrize("method", ["random", "getrandbits", "randrange", "_randbelow"])
     def test_generator_that_draws_differently_is_rejected(self, method):
         own = type("Own", (random.Random,), {method: lambda self, *args: 0})
         low = mk_trace([130] * 5, step_us=1_000_000)
         high = mk_trace([400] * 50, step_us=100_000)
-        with pytest.raises(TypeError, match="rng must draw as random.Random does, but Own"):
-            inject_cover_traffic(low, high, window_s=5, rng=own(1))
+        with pytest.raises(TypeError, match="seed must be an int, got Own"):
+            inject_cover_traffic(low, high, window_s=5, seed=own(1))
+
+    @pytest.mark.parametrize("seed", [random.Random(1), True, 1.0, "1"])
+    def test_seed_that_is_not_an_int_is_rejected(self, seed):
+        low = mk_trace([130] * 5, step_us=1_000_000)
+        high = mk_trace([400] * 50, step_us=100_000)
+        with pytest.raises(TypeError, match=f"seed must be an int, got {type(seed).__name__}"):
+            inject_cover_traffic(low, high, window_s=5, seed=seed)
 
     def test_timestamps_beyond_64_bits_rejected(self):
         # Window 1 of 5e18 µs ends past 2**63 µs.
         low = mk_trace([130])
         high = Trace([0, 5 * 10**18 + 1], [400, 400], [False, False], "high")
         with pytest.raises(ValueError, match="beyond 64 bits"):
-            inject_cover_traffic(low, high, window_s=5e12, rng=0)
+            inject_cover_traffic(low, high, window_s=5e12, seed=0)
 
     @given(
         target=small_traces(min_size=1),
@@ -770,17 +838,15 @@ class TestCoverTraffic:
         profile = window_profile(reference, width)
         assert _window_volumes(profile, width) == _window_volumes(reference, width)
         assert profile.device == reference.device and not profile.covered.any()
-        rng, oracle = random.Random(seed), random.Random(seed)
-        result = inject_cover_traffic(target, profile, width / 1e6, rng=rng)
-        expected = inject_cover_traffic(target, reference, width / 1e6, rng=oracle)
+        result = inject_cover_traffic(target, profile, width / 1e6, seed=seed)
+        expected = inject_cover_traffic(target, reference, width / 1e6, seed=seed)
         assert result.trace == expected.trace
         assert result.cover_bytes == expected.cover_bytes
-        assert rng.getstate() == oracle.getstate()
 
     def test_cover_flag_metadata_only(self):
         low = mk_trace([130] * 5, step_us=1_000_000)
         high = mk_trace([400] * 50, step_us=100_000)
-        result = inject_cover_traffic(low, high, window_s=5, rng=2)
+        result = inject_cover_traffic(low, high, window_s=5, seed=2)
         original = as_rows(low)
         assert all(row[2] for row in as_rows(result.trace) if row not in original)
         assert result.original_bytes == low.total_bytes
