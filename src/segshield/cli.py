@@ -18,9 +18,14 @@ from .shaper import SocketTuning, mean_wall_time, run_receiver, send_seeded_payl
 
 
 def _preset_or_json(arg: str, preset_names) -> str | dict:
-    """A preset name passes through; any other argument is a JSON file path."""
+    """A --profile that is a preset name passes through; any other must be
+    a JSON file path."""
     if arg in preset_names:
         return arg
+    if not Path(arg).is_file():
+        raise ConfigurationError(
+            f"--profile: {arg!r} is neither a preset ({', '.join(preset_names)}) nor a file"
+        )
     with open(arg) as fh:
         return json.load(fh)
 
@@ -107,6 +112,7 @@ def main_shaper(argv=None) -> int:
         check_value(args.reps, "--reps", int, POSITIVE)
         check_value(args.recv_buf, "--recv-buf", int, POSITIVE)
         if args.command == "send":
+            check_value(args.seed, "--seed", int, NON_NEGATIVE)
             check_value(args.size, "--size", int, POSITIVE)
             check_value(args.send_buf, "--send-buf", int, POSITIVE)
             config = None if args.profile == "none" else _segmentation_flags(args)
@@ -182,6 +188,7 @@ def main_tracesim(argv=None) -> int:
 
     def go():
         # Flags are checked before any file is read, by the experiment config's rules.
+        check_value(args.seed, "--seed", int, NON_NEGATIVE)
         if args.command == "obfuscate":
             check_value(args.time_overhead, "--time-overhead", float, NON_NEGATIVE)
             check_value(args.header_bytes, "--header-bytes", int, NON_NEGATIVE)
@@ -258,6 +265,7 @@ def main_attackeval(argv=None) -> int:
             max_depth=args.max_depth,
         )
         check_attack_parameters(**parameters)
+        check_value(args.seed, "--seed", int, NON_NEGATIVE)
         check_value(args.traces, "--traces", list, tracesim.TRACE_PATHS)
         read = (ingest_trace(path) for path in args.traces)
         traces = traces_by_device(args.traces, read, "--traces")

@@ -9,6 +9,7 @@ import pytest
 
 import segshield
 from segshield.cli import main_attackeval, main_segshield, main_shaper, main_tracesim
+from segshield.profiles import device_profile_names, segmentation_profile_names
 from segshield.shaper import bound_port
 from segshield.tracesim import ingest_trace
 
@@ -207,6 +208,52 @@ def test_flag_checked_before_the_input_is_read(tmp_path, capsys, main, argv, fla
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}:") and "Traceback" not in err
     assert "nonexistent" not in err
+
+
+def refuse_socket(*args, **kwargs):
+    raise AssertionError("a socket was opened")
+
+
+@pytest.mark.parametrize(
+    "main,argv",
+    [
+        (main_tracesim, ["synth", "--profile", "bulb-like", "--duration", "60"]),
+        (main_tracesim, ["obfuscate", "--in", "nonexistent.jsonl"]),
+        (main_tracesim, ["pad", "--in", "nonexistent.jsonl"]),
+        (main_tracesim, ["cover", "--target", "nonexistent.jsonl", "--reference", "b.jsonl"]),
+        (main_attackeval, ["run", "--traces", "nonexistent.jsonl", "b.jsonl"]),
+        (main_shaper, ["send", "--addr", "127.0.0.1:9", "--size", "10"]),
+    ],
+)
+def test_negative_seed_rejected_before_any_input(tmp_path, capsys, monkeypatch, main, argv):
+    # random.Random(-3) seeds as random.Random(3) does: -3 would repeat 3's output.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("segshield.cli.send_seeded_payload", refuse_socket)
+    assert main([*argv, "--seed", "-3", "--out", "out.json"]) == 1
+    assert capsys.readouterr().err == "error: --seed: must be non-negative, got -3\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "main,argv,presets",
+    [
+        (main_tracesim, ["synth"], device_profile_names()),
+        (main_tracesim, ["obfuscate", "--in", "a.jsonl"], segmentation_profile_names()),
+        (
+            main_shaper,
+            ["send", "--addr", "127.0.0.1:9", "--size", "10"],
+            segmentation_profile_names(),
+        ),
+    ],
+)
+def test_profile_neither_preset_nor_file(tmp_path, capsys, monkeypatch, main, argv, presets):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("segshield.cli.send_seeded_payload", refuse_socket)
+    assert main([*argv, "--profile", "nope", "--out", "out.json"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --profile: 'nope' is neither a preset ({', '.join(presets)}) nor a file\n"
+    )
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 from unittest import mock
 
@@ -116,6 +117,29 @@ def read_outcome(read, path):
 
 def refuse_line_by_line(*args):
     raise AssertionError("read line by line")
+
+
+def recorded_like_trace(rows):
+    """A trace shaped like a recorded one: 3600 s, three frame sizes each
+    way, some records covered."""
+    rng = np.random.default_rng(rows)
+    sizes = rng.choice([102, 116, 130], rows) * rng.choice([-1, 1], rows)
+    timestamps = np.sort(rng.integers(0, 3600 * 10**6, rows))
+    return Trace(timestamps, sizes, rng.random(rows) < 0.1, "plug-like")
+
+
+def column_bytes(trace):
+    return sum(getattr(trace, name).nbytes for name in tracesim._COLUMN_TYPES)
+
+
+def traced_peak(read, *args):
+    """What ``read(*args)`` returns, and the most bytes tracemalloc saw
+    allocated while it ran (numpy reports its buffers there too)."""
+    tracemalloc.start()
+    try:
+        return read(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def written_line(row, **changes):
@@ -387,6 +411,65 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError, match="line 3: device must be a string") as err:
             ingest_trace(path)
         assert err.value.line == 3
+
+    def test_csv_row_with_more_fields_than_the_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp_us,signed_size,covered,device\n0,60,0,d\n1,5,0,d,extra\n")
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert str(err.value) == "line 3: 5 fields where the header has 4"
+
+    def test_csv_error_names_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp_us,signed_size,covered,device\n0,60,0,d\n\n\n10,0,0,d\n")
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert str(err.value) == "line 5: signed_size must be nonzero"
+
+    @pytest.mark.parametrize(
+        "text,kind", [("[1, 2, 3]", "list"), ('"str"', "str"), ("7", "int"), ("null", "NoneType")]
+    )
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_jsonl_line_that_is_not_an_object(self, tmp_path, text, kind, line):
+        path = tmp_path / "t.jsonl"
+        record = {"covered": False, "device": "d", "signed_size": 60, "timestamp_us": 0}
+        lines = [written_line(record)] * 2
+        lines[line - 1] = text + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert str(err.value) == f"line {line}: record must be a JSON object, got {kind}"
+
+    @pytest.mark.parametrize("block", [1, 97, 1 << 18])
+    def test_last_line_without_its_newline(self, tmp_path, monkeypatch, block):
+        trace = mk_trace([130, -116, 144])
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        monkeypatch.setattr(tracesim, "_READ_BYTES", block)
+        assert ingest_trace(path) == trace
+
+    def test_columnar_read_holds_one_block_of_scratch(self, tmp_path, monkeypatch):
+        trace = recorded_like_trace(30_000)
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, path)  # 2.6 MB, several blocks
+        monkeypatch.setattr(tracesim, "_ingest_lines", refuse_line_by_line)
+        read, peak = traced_peak(ingest_trace, path)
+        assert read == trace
+        # The blocks' columns and their concatenation, plus 1 MiB for parsing
+        # a 256 KiB block; 1 MiB blocks held over 6 MB here.
+        assert peak <= 2 * column_bytes(read) + (1 << 20)
+
+    def test_line_by_line_read_holds_typed_columns(self, tmp_path):
+        trace = recorded_like_trace(30_000)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        read, peak = traced_peak(ingest_trace, path)
+        assert read == trace
+        # Typed columns and line numbers (25 bytes a record), then the
+        # trace's own copy (17): about 2.5 times the columns. Lists of Python
+        # ints held over 7 times them, more with every record.
+        assert peak <= 3 * column_bytes(read) + (1 << 18)
 
     @given(
         trace=st.sampled_from(["dev", 'a%d "b",c', "é: x"]).flatmap(
