@@ -653,8 +653,6 @@ def run_attack(
     vectors: list[FeatureVector] = []
     for trace in traces:
         vectors.extend(extract_windows(trace, window_s, vector_len))
-    train, test = split_dataset(vectors, train_fraction, random.Random(derive_seed(seed, "split")))
-    model = train_forest(
-        train, n_trees=n_trees, max_depth=max_depth, rng=random.Random(derive_seed(seed, "forest"))
-    )
+    train, test = split_dataset(vectors, train_fraction, derive_seed(seed, "split"))
+    model = train_forest(train, n_trees, max_depth, rng=derive_seed(seed, "forest"))
     return evaluate(model, test)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import random
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -329,11 +328,9 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
             joined = [vector for device in sorted(by_device) for vector in by_device[device]]
             # Split/forest seeds are shared across arms: identical inputs
             # (a no-op defense) then produce identical metric blocks.
-            split_rng = random.Random(derive_seed(master, "split"))
-            train, test = split_dataset(joined, cfg.train_fraction, split_rng)
-            forest_rng = random.Random(derive_seed(master, "forest"))
+            train, test = split_dataset(joined, cfg.train_fraction, derive_seed(master, "split"))
             model = train_forest(
-                train, n_trees=cfg.n_trees, max_depth=cfg.max_depth, rng=forest_rng
+                train, cfg.n_trees, cfg.max_depth, rng=derive_seed(master, "forest")
             )
             metrics[arm] = evaluate(model, test)
     except SegShieldError:

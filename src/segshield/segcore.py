@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ConfigurationError
-from .rng import draws_as_random
 
 # IPv4 + TCP headers without options; a segment payload larger than
 # mtu - this would force IP fragmentation.
@@ -145,21 +144,17 @@ def segment_lengths(n: int, config: SegmentationConfig, rng: random.Random) -> S
         return SegmentPlan((n,), segmented=False)
     lengths: list[int] = []
     start = 0
-    # rng.randint(min_seg, max_seg) as CPython draws it: getrandbits(k)
-    # until the value is below the span. Inlined, it costs no Python frame.
-    # A generator that draws integers its own way gets its own randint called.
-    inline = draws_as_random(rng)
+    # rng.randint(min_seg, max_seg) as CPython's random.Random draws it:
+    # getrandbits(k) until the value is below the span. Inlined, it costs no
+    # Python frame.
     span = band.max_seg - band.min_seg + 1
     k = span.bit_length()
     getrandbits = rng.getrandbits
     while start < n:
-        if inline:
+        r = getrandbits(k)
+        while r >= span:
             r = getrandbits(k)
-            while r >= span:
-                r = getrandbits(k)
-            rand_len = band.min_seg + r
-        else:
-            rand_len = rng.randint(band.min_seg, band.max_seg)
+        rand_len = band.min_seg + r
         index = n if start + rand_len >= n else start + rand_len
         lengths.append(index - start)
         start = index

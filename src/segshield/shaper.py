@@ -108,10 +108,8 @@ class ShapedConnection:
     ):
         self._sock = sock
         self._config = config
-        if config is not None:
-            self._rng = make_rng(config.seed if rng is None else rng)
-        else:
-            self._rng = make_rng(0 if rng is None else rng)
+        # An unshaped connection never draws, so it seeds no generator.
+        self._rng = None if config is None else make_rng(config.seed if rng is None else rng)
         self._segment_log: list[int] = []
         self._bytes_sent = 0
         self._started: float | None = None

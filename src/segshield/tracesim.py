@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, TraceFormatError, TraceRecordError
 from .profiles import DeviceProfile
-from .rng import below_draws, make_rng
+from .rng import make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, pad_packet_random, segment_lengths
 
 DEFAULT_HEADER_BYTES = 82  # MAC-level frame header; IP-level accounting uses 54
@@ -284,14 +284,13 @@ def _ingest_lines(path: str | Path, format: str, header_bytes: int) -> Trace:
             lines.append(lineno)
     if not lines:
         raise TraceFormatError(f"{path} holds no records")
+    columns = []
+    for column, dtype in ((timestamps, np.int64), (sizes, np.int64), (covered, np.bool_)):
+        # One column at a time: its owned copy replaces it before the next.
+        columns.append(_frozen(np.frombuffer(column, dtype).copy()))
+        del column[:]
     try:
-        return Trace(
-            np.frombuffer(timestamps, np.int64),
-            np.frombuffer(sizes, np.int64),
-            np.frombuffer(covered, np.bool_),
-            device,
-            header_bytes,
-        )
+        return Trace(*columns, device, header_bytes)
     except TraceRecordError as exc:
         raise TraceFormatError(exc.reason, line=lines[exc.index]) from exc
 
@@ -364,16 +363,20 @@ def _ingest_written_jsonl(path: str | Path, header_bytes: int) -> Trace | None:
             return None
         render = _row_format(device, "jsonl")[2]
         fh.seek(0)
-        columns = []
+        columns = ([], [], [])  # each column's blocks
         for block in _line_blocks(fh):
             found = _written_block_columns(block, render)
             if found is None:
                 return None
-            columns.append(found)
+            for blocks, part in zip(columns, found):
+                blocks.append(part)
+    joined = []
+    for blocks in columns:
+        # One column at a time: its blocks go once they are joined.
+        joined.append(_frozen(np.concatenate(blocks)))
+        blocks.clear()
     try:
-        return Trace(
-            *(_frozen(np.concatenate(c)) for c in zip(*columns)), device, header_bytes
-        )
+        return Trace(*joined, device, header_bytes)
     except TraceRecordError as exc:
         raise TraceFormatError(exc.reason, line=exc.index + 1) from exc
 
@@ -606,6 +609,30 @@ def _window_volumes(trace: Trace, width_us: int) -> dict[int, int]:
 # Words of raw generator output read at a time: about 1 MB of arrays per
 # block, whatever the size of the cover trace. Larger blocks were no faster.
 _COVER_BLOCK_WORDS = 1 << 14
+
+
+def below_draws(words, n: int):
+    """Every attempt ``randrange(n)`` could make, starting at each word of
+    ``words``, a uint64 array of a generator's 32-bit words in stream order.
+
+    CPython draws ``randrange(n)`` as ``getrandbits(k)``, k = n.bit_length(),
+    repeated until the value is below ``n``. ``getrandbits(k)`` takes
+    ceil(k / 32) words, lowest bits first, and keeps the top bits of the last.
+    Returns ``(values, accepted, width)``: ``values[j]`` is the attempt that
+    starts at ``words[j]`` (one entry per start with a whole attempt left),
+    ``accepted[j]`` is ``values[j] < n``, and ``width`` is the words one
+    attempt takes. ``n`` must lie in [1, 2**64).
+    """
+    if not 1 <= n < 2**64:
+        raise ValueError(f"n must lie in [1, 2**64), got {n}")
+    k = n.bit_length()
+    if k <= 32:
+        values = words >> (32 - k)
+        width = 1
+    else:
+        values = words[:-1] | (words[1:] >> (64 - k)) << 32
+        width = 2
+    return values, values < n, width
 
 
 def _next_accepted(accepted, width: int, end: int):

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from segshield.rng import below_draws, draws_as_random
+from segshield.tracesim import below_draws
 
 
 def read_words(rng, n):
@@ -78,60 +78,3 @@ def test_advance_leaves_generator_where_scalar_calls_would(used):
     assert rng.gauss(0, 1) == expected.gauss(0, 1)
     assert rng.random() == expected.random()
 
-
-class OwnRandom(random.Random):
-    def random(self):
-        return 0.5
-
-
-class OwnBits(random.Random):
-    def getrandbits(self, k):
-        return 0
-
-
-class OwnBelow(random.Random):
-    def _randbelow(self, n):
-        return 0
-
-
-class OwnRandrange(random.Random):
-    def randrange(self, *args):
-        return 0
-
-
-class OwnRandint(random.Random):
-    def randint(self, a, b):
-        return a
-
-
-class Harmless(random.Random):
-    """A subclass that changes no draw."""
-
-
-class HarmlessOfOwnRandom(OwnRandom):
-    """random() overridden, but integers still drawn by getrandbits."""
-
-    _randbelow = random.Random._randbelow_with_getrandbits
-
-
-DRAW_THEIR_OWN_WAY = [OwnRandom, OwnBits, OwnBelow, OwnRandrange, OwnRandint, random.SystemRandom]
-
-
-@pytest.mark.parametrize("cls", DRAW_THEIR_OWN_WAY)
-def test_subclass_that_draws_differently_is_rejected(cls):
-    assert not draws_as_random(cls(1))
-
-
-@pytest.mark.parametrize("cls", [random.Random, Harmless, HarmlessOfOwnRandom])
-def test_subclass_that_draws_as_random_is_accepted(cls):
-    assert draws_as_random(cls(5))
-    # The premise of the check: randint is the getrandbits rejection loop.
-    rng, oracle = cls(6), random.Random(6)
-    assert [rng.randint(3, 700) for _ in range(500)] == [oracle.randint(3, 700) for _ in range(500)]
-
-
-@pytest.mark.parametrize("cls", [OwnRandom])
-def test_random_override_changes_randint(cls):
-    # Why random() alone counts: CPython then draws integers through it.
-    rng, oracle = cls(6), random.Random(6)
-    assert [rng.randint(3, 700) for _ in range(50)] != [oracle.randint(3, 700) for _ in range(50)]

@@ -179,18 +179,34 @@ class TestSegmentLengths:
         assert rng.getstate() == oracle.getstate()
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_generator_drawing_through_random_keeps_randint_draws(self, seed):
-        # Overriding random() alone makes CPython's randint draw through
-        # random(), not getrandbits; the planner must follow randint.
-        class HalfRandom(random.Random):
-            def random(self):
-                return super().random() / 2
+    def test_subclass_drawing_bits_through_super_keeps_randint_draws(self, seed):
+        # A subclass that defines getrandbits gets CPython's getrandbits
+        # loop as its _randbelow, so randint runs the planner's loop through it.
+        class CountingBits(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                return super().getrandbits(k)
 
         config = SegmentationConfig(prob=1.0, bands=(LevelBand(5, 20, 250), LevelBand(300, 1000)))
-        rng, oracle = HalfRandom(seed), HalfRandom(seed)
+        rng, oracle = CountingBits(seed), CountingBits(seed)
         for n in (1, 7, 250, 4000, 9000):
             assert segment_lengths(n, config, rng) == randint_segment_lengths(n, config, oracle)
         assert rng.getstate() == oracle.getstate()
+        assert rng.calls == oracle.calls > 0
+
+    @pytest.mark.parametrize("name", segmentation_profile_names())
+    def test_system_random_obeys_the_band_law(self, name):
+        config = segmentation_profile(name, prob=1.0)
+        rng = random.SystemRandom()
+        for n in [1, 2, 5, 99, 100, 101, 499, 500, 1459, 1460, 3000, 20000, *range(1, 4000, 37)]:
+            band = select_band(n, config)
+            plan = segment_lengths(n, config, rng)
+            assert plan.segmented == (n >= band.min_seg)
+            assert plan.total == n
+            assert all(band.min_seg <= c <= band.max_seg for c in plan.lengths[:-1])
+            assert plan.lengths[-1] <= band.max_seg
 
     def test_pass_through_rate_tracks_prob(self, low_bandwidth):
         rng = random.Random(123)

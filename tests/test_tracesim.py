@@ -471,6 +471,29 @@ class TestTraceIO:
         # ints held over 7 times them, more with every record.
         assert peak <= 3 * column_bytes(read) + (1 << 18)
 
+    def test_columnar_read_joins_one_column_at_a_time(self, tmp_path, monkeypatch):
+        trace = recorded_like_trace(300_000)
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, path)
+        monkeypatch.setattr(tracesim, "_ingest_lines", refuse_line_by_line)
+        read, peak = traced_peak(ingest_trace, path)
+        assert read == trace
+        # Every block's columns, then one joined column freeing its blocks
+        # (1.48 times the columns), plus one block of scratch. Joining all
+        # three at the end held 2.13 times them.
+        assert peak <= 1.6 * column_bytes(read) + (1 << 20)
+
+    def test_line_by_line_read_hands_over_owned_columns(self, tmp_path):
+        trace = recorded_like_trace(100_000)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        read, peak = traced_peak(ingest_trace, path)
+        assert read == trace
+        # Typed columns and line numbers, then each column's copy while its
+        # typed column is emptied: about 2 times the columns. Copying all
+        # three at once, with the typed columns alive, held 2.7 times them.
+        assert peak <= 2.1 * column_bytes(read) + (1 << 18)
+
     @given(
         trace=st.sampled_from(["dev", 'a%d "b",c', "é: x"]).flatmap(
             lambda device: small_traces(device=device)
