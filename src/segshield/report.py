@@ -202,14 +202,12 @@ class ExperimentConfig:
 
 
 class StageError(SegShieldError):
-    """A pipeline stage failed. With cover on, the experiment first writes
-    the cover reference's segmented arm; then it runs one device at a time,
-    in sorted order, through every arm (the reference through its other
-    two). So the trace files already written stay on disk: the reference's
-    segmented trace, every arm of each finished device, and the failing
-    device's earlier arms. ``stage`` names the step: inputs, padding,
-    segmentation or cover (each with its arm's write, window cut and
-    overhead row) or attack."""
+    """A pipeline stage failed. The experiment runs one device at a time
+    through every arm, the cover reference first and the rest by name, so
+    the trace files already written stay on disk: every arm of each
+    finished device, and the failing device's earlier arms. ``stage``
+    names the step: inputs, padding, segmentation or cover (each with its
+    arm's write, window cut and overhead row) or attack."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -224,11 +222,11 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     flat CSVs, and every intermediate trace for audit. The config is checked
     before anything runs, and the inputs before any trace is written.
 
-    With cover on, the cover reference's segmented arm runs first, and only
-    its per-window byte volumes outlive it. Then devices go one at a time
-    through their arms; of each defended trace only its window vectors and
-    overhead row outlive the device, so one device's defended traces are in
-    memory at a time."""
+    Devices go one at a time through their arms, the cover reference first
+    and the rest by name. Of each defended trace only its window vectors and
+    overhead row outlive the device, and of the reference's segmented trace
+    its per-window byte volumes, so one device's traces are in memory at a
+    time."""
     if not isinstance(config, dict):
         with open(config) as fh:
             config = json.load(fh)
@@ -242,43 +240,42 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     vectors: dict[str, dict[str, list]] = {arm: {} for arm in _ARMS}
     overheads: dict[str, dict[str, OverheadResult]] = {"padded": {}, "segmented": {}}
 
-    def keep(trace: Trace, arm: str, cover_bytes: int = 0) -> None:
+    def keep(trace: Trace, arm: str, baseline: tuple | None = None, cover_bytes: int = 0) -> None:
         """Write one arm's trace and keep its window vectors and, for a
-        defended arm, its overhead row against the device's baseline."""
+        defended arm, its overhead row against the (bytes, µs) baseline."""
         if out is not None:
             write_trace(trace, out / "traces" / f"{trace.device}.{arm}.jsonl")
         vectors[arm][trace.device] = extract_windows(trace, cfg.window_s, cfg.vector_len)
-        if arm != "undefended":
-            w_b, w_t_us = baselines[trace.device]
-            d_b, d_t_us = trace.total_bytes, trace.duration_us
+        if baseline is not None:
+            (w_b, w_t_us), d_b, d_t_us = baseline, trace.total_bytes, trace.duration_us
             overheads[arm][trace.device] = OverheadResult(w_b, d_b, w_t_us, d_t_us, cover_bytes)
 
-    def segment(trace: Trace) -> Trace:
-        seed = derive_seed(master, "seg", trace.device)
-        return obfuscate_trace(trace, cfg.segmentation, cfg.time_overhead, seed)
-
-    def defend(trace: Trace, cover_profile: Trace | None) -> None:
-        """Write and keep one device's arms, but for the cover reference's
-        segmented arm, kept before; its traces die on return."""
-        nonlocal stage
+    def defend(trace: Trace) -> None:
+        """Write and keep one device's three arms; its traces die on return.
+        The cover reference, which goes first, leaves its cover profile."""
+        nonlocal stage, cover_profile
         device = trace.device
         stage = "inputs"
         keep(trace, "undefended")
+        baseline = trace.total_bytes, trace.duration_us
         stage = "padding"
         padding_seed = derive_seed(master, "pad", device)
-        keep(pad_trace(trace, cfg.mtu_frame, padding_seed), "padded")
-        if device == cfg.cover_reference:
-            return
+        keep(pad_trace(trace, cfg.mtu_frame, padding_seed), "padded", baseline)
         stage = "segmentation"
-        segmented, cover_bytes = segment(trace), 0
-        if cover_profile is not None:
+        seed = derive_seed(master, "seg", device)
+        segmented = obfuscate_trace(trace, cfg.segmentation, cfg.time_overhead, seed)
+        cover_bytes = 0
+        if cover_profile is not None:  # None for the reference, which goes first
             stage = "cover"
             seed = derive_seed(master, "cover", device)
             result = inject_cover_traffic(segmented, cover_profile, cfg.cover_window_s, seed)
             segmented, cover_bytes = result.trace, result.cover_bytes
-        keep(segmented, "segmented", cover_bytes)
+        keep(segmented, "segmented", baseline, cover_bytes)
+        if device == cfg.cover_reference:
+            # Cover injection reads only the reference's per-window byte volumes.
+            cover_profile = window_profile(segmented, window_us(cfg.cover_window_s))
 
-    stage = "inputs"
+    stage, cover_profile = "inputs", None
     try:
         # Exactly one of cfg.traces and cfg.devices is non-empty.
         read = (ingest_trace(path, header_bytes=cfg.header_bytes) for path in cfg.traces)
@@ -307,20 +304,9 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
                 check_mtu_frame(base[device], cfg.mtu_frame)
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from None
-        # Each device's undefended totals, the baseline of its overhead rows.
-        baselines = {device: (t.total_bytes, t.duration_us) for device, t in base.items()}
-
-        # Cover injection reads only the reference's per-window byte volumes,
-        # so of its segmented trace only those outlive its own arm.
-        cover_profile = None
-        if cfg.cover_reference is not None:
-            stage = "segmentation"
-            segmented = segment(base[cfg.cover_reference])
-            keep(segmented, "segmented")
-            cover_profile = window_profile(segmented, window_us(cfg.cover_window_s))
-            del segmented
-        for device in sorted(base):
-            defend(base.pop(device), cover_profile)
+        # The cover reference first, so that its cover profile serves the rest.
+        for device in sorted(base, key=lambda d: (d != cfg.cover_reference, d)):
+            defend(base.pop(device))
 
         stage = "attack"
         metrics: dict[str, Metrics] = {}

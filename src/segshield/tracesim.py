@@ -16,7 +16,7 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -267,7 +267,7 @@ def _ingest_lines(path: str | Path, format: str, header_bytes: int) -> Trace:
     """Read a jsonl or csv trace record by record, naming the line of the
     first bad record. Records fill typed columns, 8 bytes a number and one
     a flag, so a read holds no Python object per record."""
-    lines, timestamps, sizes, covered = array("q"), array("q"), array("q"), bytearray()
+    timestamps, sizes, covered = array("q"), array("q"), bytearray()
     device = None
     with open(path, newline="") as fh:
         for lineno, row in _read_rows(fh, format):
@@ -278,11 +278,10 @@ def _ingest_lines(path: str | Path, format: str, header_bytes: int) -> Trace:
                 label = _parse_device(row["device"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(str(exc), line=lineno) from exc
-            if lines and label != device:
+            if device is not None and label != device:
                 raise TraceFormatError(f"device {label!r} differs from {device!r}", line=lineno)
             device = label
-            lines.append(lineno)
-    if not lines:
+    if device is None:
         raise TraceFormatError(f"{path} holds no records")
     columns = []
     for column, dtype in ((timestamps, np.int64), (sizes, np.int64), (covered, np.bool_)):
@@ -292,7 +291,12 @@ def _ingest_lines(path: str | Path, format: str, header_bytes: int) -> Trace:
     try:
         return Trace(*columns, device, header_bytes)
     except TraceRecordError as exc:
-        raise TraceFormatError(exc.reason, line=lines[exc.index]) from exc
+        # The read keeps no line numbers: find the bad record's line again.
+        with open(path, newline="") as fh:
+            found = next(islice(_read_rows(fh, format), exc.index, None), None)
+        if found is None:  # the file changed since; name the record instead
+            raise TraceFormatError(str(exc)) from exc
+        raise TraceFormatError(exc.reason, line=found[0]) from exc
 
 
 def _line_blocks(fh):

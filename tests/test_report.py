@@ -222,16 +222,37 @@ class TestOneDeviceAtATime:
         monkeypatch.setattr(report_module, "train_forest", train_forest)
         run_experiment(self.CONFIG, tmp_path / "out")
 
-        reference = ("plug-like", "obfuscate_trace")
-        assert calls[0] == ("plug-like", "obfuscate_trace", set())
+        # The cover reference goes first, then the rest by name.
+        assert calls[0] == ("plug-like", "pad_trace", set())
         devices = [device for device, stage, _ in calls if stage == "pad_trace"]
-        assert devices == ["bulb-like", "doorbell-like", "plug-like"]
+        assert devices == ["plug-like", "bulb-like", "doorbell-like"]
         for device, stage, seen in calls[1:]:
             if stage == "train_forest":
                 assert seen == set()
             else:
-                assert {(d, s) for d, s in seen if d != device} <= {reference}, (device, stage)
+                assert {(d, s) for d, s in seen if d != device} == set(), (device, stage)
         assert [stage for _, stage, _ in calls].count("train_forest") == 3
+
+    def test_failed_run_leaves_each_finished_device_and_earlier_arms(
+        self, monkeypatch, tmp_path
+    ):
+        def broken_cover(*args, **kwargs):
+            raise RuntimeError("broken cover")
+
+        monkeypatch.setattr(report_module, "inject_cover_traffic", broken_cover)
+        with pytest.raises(StageError) as err:
+            run_experiment(self.CONFIG, tmp_path / "out")
+        assert err.value.stage == "cover"
+        # The reference (plug-like) finished; bulb-like, next by name, failed
+        # at its cover step after writing its first two arms.
+        written = sorted(path.name for path in (tmp_path / "out" / "traces").iterdir())
+        assert written == [
+            "bulb-like.padded.jsonl",
+            "bulb-like.undefended.jsonl",
+            "plug-like.padded.jsonl",
+            "plug-like.segmented.jsonl",
+            "plug-like.undefended.jsonl",
+        ]
 
     def test_reference_segmented_trace_is_dead_before_the_first_padding(
         self, monkeypatch, tmp_path
@@ -254,7 +275,9 @@ class TestOneDeviceAtATime:
         run_experiment(self.CONFIG, tmp_path / "out")
 
         assert segmented[0][0] == "plug-like"
-        assert alive_at_padding[0] == []
+        # The reference pads first; at each later padding no segmented trace
+        # of an earlier device, the reference's included, is alive.
+        assert alive_at_padding == [[], [], []]
         written = sorted(path.name for path in (tmp_path / "out" / "traces").iterdir())
         assert "plug-like.segmented.jsonl" in written and len(written) == 9
 

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from segshield.errors import ConfigurationError, IntegrityError, TransportError
+from segshield.errors import ConfigurationError, TransportError
 from segshield.profiles import segmentation_profile
 from segshield.segcore import LevelBand, SegmentationConfig
 from segshield.shaper import (
@@ -176,24 +176,6 @@ class TestLoopbackTransfers:
     def test_receiver_timeout(self):
         with pytest.raises(TransportError):
             run_receiver(bound_port(), timeout=0.3)
-
-    def test_checksum_mismatch_raises(self):
-        port = bound_port()
-        listening = threading.Event()
-
-        def sender():
-            listening.wait(5)
-            with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
-                s.sendall(b"payload")
-                s.shutdown(socket.SHUT_WR)
-                while s.recv(1024):
-                    pass
-
-        thread = threading.Thread(target=sender, daemon=True)
-        thread.start()
-        with pytest.raises(IntegrityError):
-            run_receiver(port, expected_checksum="0" * 64, listening=listening)
-        thread.join(5)
 
 
 class TestBenchmark:

@@ -494,6 +494,38 @@ class TestTraceIO:
         # three at once, with the typed columns alive, held 2.7 times them.
         assert peak <= 2.1 * column_bytes(read) + (1 << 18)
 
+    def test_line_by_line_read_keeps_no_line_numbers(self, tmp_path):
+        trace = recorded_like_trace(100_000)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        read, peak = traced_peak(ingest_trace, path)
+        assert read == trace
+        # Typed columns (17 bytes a record), then one column's copy at a
+        # time: about 1.5 times the columns. A column of line numbers, 8
+        # bytes more a record, held 1.98 times them.
+        assert peak <= 1.6 * column_bytes(read) + (1 << 18)
+
+    def test_rule_error_past_the_end_of_a_reread_names_the_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp_us,signed_size,covered,device\n0,5,0,d\n1,0,0,d\n")
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert str(err.value) == "line 3: signed_size must be nonzero"
+        read_rows = tracesim._read_rows
+        reads = []
+
+        def shrinking(fh, format):
+            # The second read, which looks for the bad record's line, finds
+            # a file that has lost its records since.
+            reads.append(format)
+            return read_rows(fh, format) if len(reads) == 1 else iter(())
+
+        monkeypatch.setattr(tracesim, "_read_rows", shrinking)
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert str(err.value) == "record 1: signed_size must be nonzero"
+        assert len(reads) == 2
+
     @given(
         trace=st.sampled_from(["dev", 'a%d "b",c', "é: x"]).flatmap(
             lambda device: small_traces(device=device)

@@ -1,0 +1,164 @@
+"""Run the benchmark in alternating parent/change pairs and write one BENCH file.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 \
+        --first-seed 701 --out BENCH_20.json
+
+The workloads and end-to-end metrics come from BENCHMARK.json beside this
+script's directory. Pair i (from 1) runs a workload at seed first-seed + i - 1
+on both sides: odd pairs run the parent first, even pairs the change first.
+Each run is the BENCHMARK.json command with ``--workload W --seed N --seconds T
+--trace 0``, started in that side's directory; the last line of its output is
+its result. A run that exits non-zero, or whose last line is not JSON, is kept
+with its exit code and counted as one attempted operation that failed. No run
+is dropped. The file is rewritten after every run, so an interrupted run
+keeps what it measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from importlib import metadata
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+SIDES = ("parent", "change")
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """[q1, median, q3] by linear interpolation between the sorted values."""
+    ordered = sorted(values)
+    last = len(ordered) - 1
+
+    def at(q: float) -> float:
+        position = q * last
+        low = int(position)
+        high = min(low + 1, last)
+        return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+
+    return [at(0.25), at(0.5), at(0.75)]
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload: correctness, operation counts and, for each end-to-end
+    metric, both sides' quartiles and the pairs in which the change won."""
+    summary = {}
+    for workload in sorted({run["workload"] for run in runs}):
+        mine = [run for run in runs if run["workload"] == workload]
+        block = {"all_correct": all(run["correct"] for run in mine)}
+        for key, field in (("attempted_ops", "attempted"), ("failed_ops", "failed")):
+            block[key] = {s: sum(r[field] for r in mine if r["side"] == s) for s in SIDES}
+        by_pair = {(run["pair"], run["side"]): run["metrics"] for run in mine}
+        for metric in end_to_end:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            values = {
+                side: [m[name] for (_, s), m in by_pair.items() if s == side and name in m]
+                for side in SIDES
+            }
+            if not all(values.values()):
+                continue
+            pairs = [
+                (by_pair[pair, "parent"][name], by_pair[pair, "change"][name])
+                for pair in sorted({run["pair"] for run in mine})
+                if name in by_pair.get((pair, "parent"), {})
+                and name in by_pair.get((pair, "change"), {})
+            ]
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            block[name] = {
+                "parent_q1_median_q3": [round(v, 6) for v in parent],
+                "change_q1_median_q3": [round(v, 6) for v in change],
+                "median_change_over_parent": round((change[1] - parent[1]) / parent[1], 4),
+                "change_better_pairs": sum(sign * (c - p) > 0 for p, c in pairs),
+                "pairs": len(pairs),
+            }
+        summary[workload] = block
+    return summary
+
+
+def run_once(directory: str, command: list[str], workload: str, seed: int, seconds: float):
+    """One benchmark run in ``directory``: (exit code, parsed result or None,
+    last line of output)."""
+    args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}"]
+    done = subprocess.run(
+        [*args, "--trace", "0"], cwd=directory, capture_output=True, text=True, check=False
+    )
+    lines = done.stdout.strip().splitlines()
+    last = lines[-1] if lines else done.stderr.strip()[-500:]
+    try:
+        result = json.loads(last)
+    except ValueError:
+        result = None
+    if done.returncode != 0 or not isinstance(result, dict):
+        result = None
+    return done.returncode, result, last
+
+
+def record(workload, pair, seed, side, ran, code, result, last) -> dict:
+    """One run as BENCH files list it; a failed run keeps its last line."""
+    run = {"workload": workload, "pair": pair, "seed": seed, "side": side, "ran": ran}
+    run["exit_code"] = code
+    if result is None:
+        run.update(correct=False, attempted=1, failed=1, metrics={}, last_line=last)
+    else:
+        run.update(
+            correct=result.get("correct") is True,
+            attempted=result.get("attempted", 0),
+            failed=result.get("failed", 0),
+            metrics={name: m["value"] for name, m in result.get("metrics", {}).items()},
+        )
+    return run
+
+
+def main(argv: list[str] | None = None) -> int:
+    bench = json.loads(BENCHMARK.read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=bench.get("run_seconds", 25))
+    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
+    parser.add_argument("--out", required=True, help="the BENCH json file to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    directories = {"parent": args.parent, "change": args.change}
+    last_seed = args.first_seed + args.pairs - 1
+    command = " ".join(bench["command"])
+    numpy = metadata.version("numpy")
+    doc = {
+        "command": f"{command} --workload <workload> --seed <{args.first_seed - 1} + pair> "
+        f"--seconds {args.seconds:g} --trace 0",
+        "protocol": f"alternating pairs, same seed per pair (seeds {args.first_seed}-{last_seed}); "
+        "odd pairs run the parent first, even pairs the change first; "
+        f"{args.seconds:g} s runs; parent and change each run from their own directory; "
+        "quartiles by linear interpolation; every run made is listed",
+        "machine": f"{os.cpu_count()} CPUs, {platform.system()}, "
+        f"Python {platform.python_version()}, numpy {numpy}",
+        "claim": None,
+        "runs": [],
+        "summary": {},
+    }
+    for workload in args.workloads:
+        for pair in range(1, args.pairs + 1):
+            seed = args.first_seed + pair - 1
+            order = SIDES if pair % 2 else SIDES[::-1]
+            for ran, side in zip(("first", "second"), order):
+                directory = directories[side]
+                outcome = run_once(directory, bench["command"], workload, seed, args.seconds)
+                run = record(workload, pair, seed, side, ran, *outcome)
+                doc["runs"].append(run)
+                doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
+                Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+                print(f"{workload} pair {pair} {side}: exit {run['exit_code']}, "
+                      f"correct {run['correct']}, {run['metrics']}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
