@@ -110,11 +110,18 @@ def main_shaper(argv=None) -> int:
     def go():
         # Flags are checked before any socket is opened.
         check_value(args.reps, "--reps", int, POSITIVE)
-        check_value(args.recv_buf, "--recv-buf", int, POSITIVE)
-        if args.command == "send":
+        check_value(args.recv_buf, "--recv-buf", int, shaper.BUFFER_BYTES)
+        sending = args.command == "send"
+        try:
+            shaper.parse_address(args.addr if sending else (args.host, args.port))
+        except ValueError as exc:
+            raise ConfigurationError(f"{'--addr' if sending else '--port'}: {exc}") from None
+        if sending:
             check_value(args.seed, "--seed", int, NON_NEGATIVE)
             check_value(args.size, "--size", int, POSITIVE)
-            check_value(args.send_buf, "--send-buf", int, POSITIVE)
+            check_value(args.send_buf, "--send-buf", int, shaper.BUFFER_BYTES)
+            if args.profile == "none" and args.prob is not None:
+                raise ConfigurationError("--prob: needs a segmentation --profile, not none")
             config = None if args.profile == "none" else _segmentation_flags(args)
             tuning = SocketTuning(
                 no_delay=True, send_buffer_bytes=args.send_buf, receive_buffer_bytes=args.recv_buf

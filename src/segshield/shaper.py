@@ -28,6 +28,8 @@ from .segcore import SegmentationConfig, SegmentPlan, iter_chunks, segment_messa
 
 DEFAULT_SEND_BUFFER = 2**16
 DEFAULT_RECV_BUFFER = 2**17
+# setsockopt takes a buffer size as a C int.
+BUFFER_BYTES = (lambda v: 0 < v < 2**31, "positive and below 2**31")
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,14 @@ class TransferStats:
 def parse_address(address) -> tuple[str, int]:
     if isinstance(address, tuple):
         host, port = address
-        return str(host), int(port)
-    host, _, port = str(address).rpartition(":")
-    if not host or not port:
-        raise ValueError(f"address must be host:port, got {address!r}")
-    return host, int(port)
+    else:
+        host, _, port = str(address).rpartition(":")
+        if not host or not port:
+            raise ValueError(f"address must be host:port, got {address!r}")
+    port = int(port)
+    if not 1 <= port <= 65535:
+        raise ValueError(f"port must be 1-65535, got {port}")
+    return str(host), port
 
 
 def _apply_tuning(sock: socket.socket, tuning: SocketTuning) -> None:

@@ -14,7 +14,6 @@ import json
 import math
 import random
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice
 from pathlib import Path
@@ -610,98 +609,6 @@ def _window_volumes(trace: Trace, width_us: int) -> dict[int, int]:
     return dict(zip((profile.timestamp_us // width_us).tolist(), profile.signed_size.tolist()))
 
 
-# Words of raw generator output read at a time: about 1 MB of arrays per
-# block, whatever the size of the cover trace. Larger blocks were no faster.
-_COVER_BLOCK_WORDS = 1 << 14
-
-
-def below_draws(words, n: int):
-    """Every attempt ``randrange(n)`` could make, starting at each word of
-    ``words``, a uint64 array of a generator's 32-bit words in stream order.
-
-    CPython draws ``randrange(n)`` as ``getrandbits(k)``, k = n.bit_length(),
-    repeated until the value is below ``n``. ``getrandbits(k)`` takes
-    ceil(k / 32) words, lowest bits first, and keeps the top bits of the last.
-    Returns ``(values, accepted, width)``: ``values[j]`` is the attempt that
-    starts at ``words[j]`` (one entry per start with a whole attempt left),
-    ``accepted[j]`` is ``values[j] < n``, and ``width`` is the words one
-    attempt takes. ``n`` must lie in [1, 2**64).
-    """
-    if not 1 <= n < 2**64:
-        raise ValueError(f"n must lie in [1, 2**64), got {n}")
-    k = n.bit_length()
-    if k <= 32:
-        values = words >> (32 - k)
-        width = 1
-    else:
-        values = words[:-1] | (words[1:] >> (64 - k)) << 32
-        width = 2
-    return values, values < n, width
-
-
-def _next_accepted(accepted, width: int, end: int):
-    """For each word position j in [0, end], the first accepted attempt at
-    j, j + width, j + 2 * width, ...; ``end`` where there is none."""
-    first = np.full(end + 1, end)
-    first[: len(accepted)] = np.where(accepted, np.arange(len(accepted)), end)
-    for r in range(width):
-        first[r::width] = np.minimum.accumulate(first[r::width][::-1])[::-1]
-    return first
-
-
-def _follow_records(pick_ok, pick_width: int, offset_ok, offset_width: int, size: int):
-    """Where a loop that alternates pick and offset draws, each repeated
-    until accepted, takes each, from the start of a block of ``size`` words.
-
-    An attempt at word j takes ``width`` words; a rejected one is retried at
-    j + width. So a record starting at j has its pick at the first accepted
-    pick attempt in j, j + pick_width, ..., and its offset likewise after
-    that; the next record starts where the offset ends. Returns the words
-    at which each whole record's accepted pick and offset start, following
-    the records from word 0 by pointer doubling, log2(records) rounds over
-    the block.
-    """
-    end = size + 1  # "no whole record left in the block"
-    pick_at = _next_accepted(pick_ok, pick_width, end)
-    offset_at = _next_accepted(offset_ok, offset_width, end)[
-        np.minimum(pick_at + pick_width, end)
-    ]
-    record_end = np.where(offset_at < end, offset_at + offset_width, end)
-    # Records start at 0, record_end[0], record_end[record_end[0]], ...
-    starts = np.zeros(1, np.int64)
-    jump = record_end
-    while starts[-1] != end:
-        starts = np.concatenate([starts, jump[starts]])
-        jump = jump[jump]
-    starts = starts[: np.argmax(starts == end) - 1]
-    return pick_at[starts], offset_at[starts]
-
-
-def _cover_records(rng: random.Random, carried, pool_size: int, width_us: int):
-    """Replay the cover loop's draws over the next block of raw words.
-
-    Each cover record is a ``randrange(pool_size)`` pick, then a
-    ``randrange(width_us)`` offset, each repeated until accepted. The block
-    is ``carried``, the words the last block left undrawn, then fresh words
-    read from ``rng`` _COVER_BLOCK_WORDS at a time until it holds a whole
-    record. Returns the picks and offsets of every whole record in the
-    block, in draw order, and the words after the last, which start the next
-    block.
-    """
-    n, block = _COVER_BLOCK_WORDS, carried
-    while True:
-        # getrandbits(32 * n) is the next n words, the first in the lowest bits.
-        fresh = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-        block = np.concatenate([block, np.frombuffer(fresh, "<u4")])
-        picks, pick_ok, pick_width = below_draws(block, pool_size)
-        offsets, offset_ok, offset_width = below_draws(block, width_us)
-        pick_at, offset_at = _follow_records(
-            pick_ok, pick_width, offset_ok, offset_width, len(block)
-        )
-        if len(pick_at):
-            return picks[pick_at], offsets[offset_at], block[offset_at[-1] + offset_width :]
-
-
 def inject_cover_traffic(
     target: Trace,
     reference: Trace,
@@ -714,11 +621,10 @@ def inject_cover_traffic(
     Cover sizes and directions are resampled from the target's own records
     so the filler does not import the reference's size fingerprint.
 
-    The draws are those of a loop that, for each cover packet, calls
-    ``randrange(len(target))`` for the record to copy and then
-    ``randrange(width)`` for the offset in the window, on a
-    ``random.Random(seed)``; each of its raw words is read once. ``seed``
-    must be an int (TypeError otherwise).
+    For each cover packet the draws are ``randrange(len(target))`` for the
+    record to copy, then ``randrange(width)`` for the offset in the window,
+    from one ``random.Random(seed)``. ``seed`` must be an int (TypeError
+    otherwise).
     """
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
@@ -734,43 +640,34 @@ def inject_cover_traffic(
     if deficits and (deficits[-1][0] + 1) * width > 2**63:
         raise ValueError(f"window_s {window_s!r} puts cover timestamps beyond 64 bits")
 
-    cover_ts = array("q")  # 8 bytes an entry; a cover trace can hold millions
-    cover_sizes = array("q")
-    picks = offsets = np.zeros(0, np.int64)  # the block's records, in draw order
-    rng, rest = random.Random(seed), np.zeros(0, np.uint64)  # rest: words read, not drawn
-    spent = [0]  # spent[i]: bytes of the block's first i records
-    used = 0  # records of the block placed so far
-    windows, stops = [], []  # the block's records from stops[i - 1] to stops[i] go to windows[i]
-
-    def place():
-        """Append the block's placed records to the cover."""
-        counts = np.diff(np.array(stops, np.int64), prepend=0)
-        ts = np.repeat(np.array(windows, np.int64) * width, counts) + offsets[:used].astype(np.int64)
-        cover_ts.frombytes(ts.tobytes())
-        cover_sizes.frombytes(target.signed_size[picks[:used]].tobytes())
-
+    # randrange(n) as CPython's random.Random draws it: getrandbits(k) until
+    # the value is below n. Inlined, it costs no Python frame.
+    getrandbits = random.Random(seed).getrandbits
+    pool, sizes = len(target), np.abs(target.signed_size).tolist()
+    pick_bits, offset_bits = pool.bit_length(), width.bit_length()
+    picks = array("q")  # 8 bytes an entry; a cover trace can hold millions
+    cover_ts = array("q")
+    add_pick, add_ts = picks.append, cover_ts.append
     for idx, deficit in deficits:
+        start = idx * width
         while deficit > 0:
-            if used == len(picks):  # the block is used up: place it, replay the next one
-                place()
-                picks, offsets, rest = _cover_records(rng, rest, len(target), width)
-                spent = [0, *np.cumsum(np.abs(target.signed_size[picks])).tolist()]
-                used = 0
-                windows, stops = [], []
-            # The first record that brings the window's cover up to its deficit.
-            stop = min(bisect_left(spent, spent[used] + deficit), len(picks))
-            deficit -= spent[stop] - spent[used]
-            windows.append(idx)
-            stops.append(stop)
-            used = stop
-    place()
+            r = getrandbits(pick_bits)
+            while r >= pool:
+                r = getrandbits(pick_bits)
+            add_pick(r)
+            deficit -= sizes[r]
+            r = getrandbits(offset_bits)
+            while r >= width:
+                r = getrandbits(offset_bits)
+            add_ts(start + r)
+    cover = target.signed_size[np.frombuffer(picks, np.int64)]
+    del sizes, picks, add_pick, add_ts  # the bound appends hold their arrays
 
     # Cover records go in a stable time order, each after every target
     # record of an equal timestamp, so stripping the flag restores the input
     # byte-for-byte. A target record's row in the output is its own index
     # plus the cover records of earlier timestamps.
     timestamps = np.frombuffer(cover_ts, np.int64)
-    cover = np.frombuffer(cover_sizes, np.int64)
     order = np.argsort(timestamps, kind="stable")
     timestamps[:] = timestamps[order]  # in place: the cover can be millions of records
     cover[:] = cover[order]
@@ -792,7 +689,7 @@ def inject_cover_traffic(
     merged_ts = merged(target.timestamp_us, timestamps)
     del timestamps, cover_ts
     merged_sizes = merged(target.signed_size, cover)
-    del cover, cover_sizes
+    del cover
     injected = Trace(
         merged_ts, merged_sizes, merged(target.covered, True), target.device, target.header_bytes
     )

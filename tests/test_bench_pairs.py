@@ -96,3 +96,39 @@ def test_failed_run_is_kept_and_counted():
     assert op_s["parent_q1_median_q3"] == [1.5, 2.0, 2.5]
     assert op_s["change_q1_median_q3"] == [1.0, 1.5, 2.0]
     assert (op_s["change_better_pairs"], op_s["pairs"]) == (1, 2)
+
+
+def test_bound_is_copied_and_a_change_worse_beyond_it_is_flagged():
+    parent = [(1.0, 10.0)] * 4
+    # Time: median 1.3 s is 30 % worse (bound 25 %). Throughput: 8.0 is 20 % worse.
+    change = [(1.3, 8.0)] * 4
+    block = bench_pairs.summarize(paired_runs(parent, change), END_TO_END)["w"]
+    assert block["op_s_p50"]["bound"] == 0.25
+    assert block["op_s_p50"]["worse_beyond_bound"] is True
+    assert block["throughput_mib_s"]["worse_beyond_bound"] is False
+    # The same distances the other way round are gains, never flagged.
+    block = bench_pairs.summarize(paired_runs(change, parent), END_TO_END)["w"]
+    assert block["op_s_p50"]["worse_beyond_bound"] is False
+    assert block["throughput_mib_s"]["worse_beyond_bound"] is False
+
+
+def test_higher_is_better_metric_worse_beyond_its_bound_is_flagged():
+    parent = [(1.0, 10.0)] * 3
+    change = [(1.0, 7.0)] * 3
+    block = bench_pairs.summarize(paired_runs(parent, change), END_TO_END)["w"]
+    assert block["throughput_mib_s"]["worse_beyond_bound"] is True
+    assert block["op_s_p50"]["worse_beyond_bound"] is False
+
+
+def test_parent_spread_beyond_the_bound_is_unresolved_unless_every_run_wins():
+    # Parent op_s quartiles 1.0, 1.5, 2.0: an interquartile range of 2/3 of the median.
+    parent = [(0.5, 10.0), (1.0, 10.0), (1.5, 10.0), (2.0, 10.0), (2.5, 10.0)]
+    overlapping = [(0.4, 10.0), (1.1, 10.0), (1.4, 10.0), (2.1, 10.0), (2.4, 10.0)]
+    block = bench_pairs.summarize(paired_runs(parent, overlapping), END_TO_END)["w"]
+    assert block["op_s_p50"]["unresolved"] is True
+    # Throughput has no spread at all on the parent.
+    assert block["throughput_mib_s"]["unresolved"] is False
+    # Every change run is faster than every parent run: resolved despite the spread.
+    faster = [(0.1, 10.0), (0.2, 10.0), (0.3, 10.0), (0.4, 10.0), (0.45, 10.0)]
+    block = bench_pairs.summarize(paired_runs(parent, faster), END_TO_END)["w"]
+    assert block["op_s_p50"]["unresolved"] is False

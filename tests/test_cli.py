@@ -442,16 +442,41 @@ class TestShaperCli:
             (["recv", "--reps", "0"], "--reps"),
             (["recv", "--timeout", "0"], "--timeout"),
             (["recv", "--recv-buf", "-1"], "--recv-buf"),
+            # setsockopt takes a C int: larger buffers were a TypeError traceback.
+            (["send", "--size", "10", "--send-buf", "4294967296"], "--send-buf"),
+            (["send", "--size", "10", "--send-buf", str(2**31)], "--send-buf"),
+            (["send", "--size", "10", "--recv-buf", "8589934592"], "--recv-buf"),
+            (["recv", "--recv-buf", str(2**31)], "--recv-buf"),
+            (["send", "--size", "10", "--profile", "none", "--prob", "0.5"], "--prob"),
         ],
     )
     def test_bad_number_reported_before_any_socket(self, tmp_path, capsys, monkeypatch, argv, flag):
+        where = ["--addr", "127.0.0.1:9"] if argv[0] == "send" else ["--port", "9"]
+        self.assert_rejected(tmp_path, capsys, monkeypatch, [*argv, *where], flag)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["send", "--size", "10", "--addr", "127.0.0.1:70000"], "--addr"),
+            (["send", "--size", "10", "--addr", "127.0.0.1:0"], "--addr"),
+            (["send", "--size", "10", "--addr", "127.0.0.1:http"], "--addr"),
+            (["send", "--size", "10", "--addr", "no-port"], "--addr"),
+            (["recv", "--port", "70000"], "--port"),
+            (["recv", "--port", "-5"], "--port"),
+            (["recv", "--port", "0"], "--port"),
+        ],
+    )
+    def test_bad_address_reported_before_any_socket(self, tmp_path, capsys, monkeypatch, argv, flag):
+        self.assert_rejected(tmp_path, capsys, monkeypatch, argv, flag)
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, monkeypatch, argv, flag):
         def connect(*args, **kwargs):
             raise AssertionError("a socket was opened")
 
         monkeypatch.setattr("segshield.cli.send_seeded_payload", connect)
         monkeypatch.setattr("segshield.cli.run_receiver", connect)
-        where = ["--addr", "127.0.0.1:9"] if argv[0] == "send" else ["--port", "9"]
-        assert main_shaper([*argv, *where, "--out", str(tmp_path / "x.json")]) == 1
+        assert main_shaper([*argv, "--out", str(tmp_path / "x.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}:") and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()

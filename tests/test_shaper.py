@@ -59,6 +59,12 @@ class TestTuningAndStats:
         with pytest.raises(ValueError):
             parse_address("no-port")
 
+    @pytest.mark.parametrize("address", ["127.0.0.1:0", "127.0.0.1:65536", ("h", -5), ("h", 70000)])
+    def test_parse_address_rejects_a_port_outside_1_65535(self, address):
+        with pytest.raises(ValueError, match="port must be 1-65535"):
+            parse_address(address)
+        assert parse_address("h:65535") == ("h", 65535) and parse_address(("h", 1)) == ("h", 1)
+
     def test_mean_wall_time(self):
         runs = [
             TransferStats(1, 1, 2.0, (1,)),

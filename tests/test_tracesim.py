@@ -906,27 +906,11 @@ class TestCoverTraffic:
     @given(
         target=small_traces(min_size=1),
         reference=small_traces(device="ref"),
-        block=st.sampled_from([1, 2, 3, 8]),
-        seed=st.integers(0, 2**32),
-    )
-    def test_short_blocks_give_the_same_draws(self, target, reference, block, seed):
-        # Records cross block ends, and a block too short for one record is read on into more.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tracesim, "_COVER_BLOCK_WORDS", block)
-            result = inject_cover_traffic(target, reference, 0.5, seed=seed)
-        expected, cover_bytes = bucket_cover(target, reference, 500_000, random.Random(seed))
-        assert result.trace == expected
-        assert result.cover_bytes == cover_bytes
-
-    @given(
-        target=small_traces(min_size=1),
-        reference=small_traces(device="ref"),
         window_s=st.sampled_from([0.5, 5000.0]),
-        block=st.sampled_from([1, 2, 3, 8, 1 << 14]),
         seed=st.integers(0, 2**32),
     )
-    def test_reads_no_word_twice(self, target, reference, window_s, block, seed):
-        # Every word the bucket loop draws, and at most one block of read-ahead.
+    def test_reads_no_word_twice(self, target, reference, window_s, seed):
+        # Exactly the words the bucket loop draws: none read ahead.
         requested = []
         getrandbits = random.Random.getrandbits
 
@@ -936,13 +920,12 @@ class TestCoverTraffic:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(random.Random, "getrandbits", counted)
-            patch.setattr(tracesim, "_COVER_BLOCK_WORDS", block)
             inject_cover_traffic(target, reference, window_s, seed)
             read = sum(requested)
             requested.clear()
             bucket_cover(target, reference, window_us(window_s), random.Random(seed))
         drawn = sum(requested)
-        assert drawn <= read <= drawn + block - 1
+        assert read == drawn
 
     @pytest.mark.parametrize("method", ["random", "getrandbits", "randrange", "_randbelow"])
     def test_generator_that_draws_differently_is_rejected(self, method):

@@ -45,7 +45,11 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: correctness, operation counts and, for each end-to-end
-    metric, both sides' quartiles and the pairs in which the change won."""
+    metric, both sides' quartiles, the pairs in which the change won and
+    the metric's bound. ``worse_beyond_bound``: the change's median is worse
+    than the parent's by more than bound x the parent's median.
+    ``unresolved``: the parent's interquartile range exceeds bound x its
+    median, and not every change run beats every parent run."""
     summary = {}
     for workload in sorted({run["workload"] for run in runs}):
         mine = [run for run in runs if run["workload"] == workload]
@@ -68,12 +72,19 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 and name in by_pair.get((pair, "change"), {})
             ]
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            bound = metric["bound"]
+            beats_every_run = min(sign * c for c in values["change"]) > max(
+                sign * p for p in values["parent"]
+            )
             block[name] = {
                 "parent_q1_median_q3": [round(v, 6) for v in parent],
                 "change_q1_median_q3": [round(v, 6) for v in change],
                 "median_change_over_parent": round((change[1] - parent[1]) / parent[1], 4),
                 "change_better_pairs": sum(sign * (c - p) > 0 for p, c in pairs),
                 "pairs": len(pairs),
+                "bound": bound,
+                "worse_beyond_bound": sign * (parent[1] - change[1]) > bound * abs(parent[1]),
+                "unresolved": parent[2] - parent[0] > bound * abs(parent[1]) and not beats_every_run,
             }
         summary[workload] = block
     return summary
