@@ -160,7 +160,8 @@ class ForestNodes:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Read-only view of one node of a ``ForestNodes``."""
+    """Read-only view of one node of a ``ForestNodes``: its split feature
+    and children, enough to walk a tree's shape."""
 
     nodes: ForestNodes
     index: int
@@ -172,14 +173,6 @@ class TreeNode:
     @property
     def feature(self) -> int:
         return int(self.nodes.feature[self.index])
-
-    @property
-    def threshold(self) -> float:
-        return float(self.nodes.threshold[self.index])
-
-    @property
-    def label_index(self) -> int:
-        return int(self.nodes.label[self.index])
 
     @property
     def left(self) -> "TreeNode | None":

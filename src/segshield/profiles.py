@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import get_args
 
 from .errors import ConfigurationError
@@ -27,41 +27,31 @@ from .segcore import LevelBand, SegmentationConfig
 
 DEFAULT_SEGMENTATION_PROFILE = "low-bandwidth"
 
-_SEGMENTATION_PRESETS: dict[str, dict] = {
-    "low-bandwidth": {
-        "prob": 0.8,
-        "bands": ((5, 20, None),),
-    },
-    "high-bandwidth": {
-        "prob": 0.8,
-        "bands": ((20, 40, 200), (100, 300, 500), (500, 1000, None)),
-    },
+_SEGMENTATION_PRESETS = {
+    "low-bandwidth": SegmentationConfig(0.8, (LevelBand(5, 20),)),
+    "high-bandwidth": SegmentationConfig(
+        0.8, (LevelBand(20, 40, 200), LevelBand(100, 300, 500), LevelBand(500, 1000))
+    ),
     # Benchmark profiles: always-on shaping, chunk ceiling at the common
     # 1400-byte application write size.
-    "rand-low": {
-        "prob": 1.0,
-        "bands": ((1200, 1400, None),),
-    },
-    "rand-high": {
-        "prob": 1.0,
-        "bands": ((100, 1400, None),),
-    },
+    "rand-low": SegmentationConfig(1.0, (LevelBand(1200, 1400),)),
+    "rand-high": SegmentationConfig(1.0, (LevelBand(100, 1400),)),
 }
 
 
-def segmentation_profile(name: str, prob: float | None = None, seed: int = 0) -> SegmentationConfig:
-    """Build a SegmentationConfig from a named preset, with overrides."""
+def _preset(table: dict, kind: str, name: str):
+    """The preset ``name`` of ``table``; a KeyError lists the known names."""
     try:
-        preset = _SEGMENTATION_PRESETS[name]
+        return table[name]
     except KeyError:
-        known = ", ".join(sorted(_SEGMENTATION_PRESETS))
-        raise KeyError(f"unknown segmentation profile {name!r} (known: {known})") from None
-    bands = tuple(
-        LevelBand(min_seg=lo, max_seg=hi, upper_threshold=thr)
-        for lo, hi, thr in preset["bands"]
-    )
-    prob = preset["prob"] if prob is None else prob
-    return SegmentationConfig(prob=prob, bands=bands, seed=seed)
+        known = ", ".join(sorted(table))
+        raise KeyError(f"unknown {kind} profile {name!r} (known: {known})") from None
+
+
+def segmentation_profile(name: str, prob: float | None = None, seed: int = 0) -> SegmentationConfig:
+    """A named preset, with its ``prob`` and ``seed`` overridden."""
+    preset = _preset(_SEGMENTATION_PRESETS, "segmentation", name)
+    return replace(preset, prob=preset.prob if prob is None else prob, seed=seed)
 
 
 def segmentation_profile_names() -> tuple[str, ...]:
@@ -77,30 +67,6 @@ def _mixed(sizes: dict[int, float], fraction: float) -> tuple[tuple[int, float],
 # length while the other's overflow it.
 _PAIR_SIZES_A = {102: 0.45, 116: 0.31, 130: 0.24}
 _PAIR_SIZES_B = {102: 0.24, 116: 0.31, 130: 0.45}
-
-_DEVICE_PRESETS: dict[str, dict] = {
-    "bulb-like": {
-        "mean_rate": 5.0,
-        "incoming": _mixed(_PAIR_SIZES_A, 0.7),
-        "outgoing": _mixed(_PAIR_SIZES_A, 0.3),
-    },
-    "plug-like": {
-        "mean_rate": 9.0,
-        "incoming": _mixed(_PAIR_SIZES_B, 0.7),
-        "outgoing": _mixed(_PAIR_SIZES_B, 0.3),
-    },
-    # Volume extremes for cover-traffic calibration.
-    "camera-like": {
-        "mean_rate": 40.0,
-        "incoming": ((118, 0.35), (182, 0.15), (482, 0.08), (1382, 0.02)),
-        "outgoing": ((118, 0.25), (182, 0.05), (482, 0.07), (1382, 0.03)),
-    },
-    "doorbell-like": {
-        "mean_rate": 0.8,
-        "incoming": ((134, 0.5), (166, 0.2)),
-        "outgoing": ((134, 0.2), (166, 0.1)),
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -148,20 +114,30 @@ class DeviceProfile:
         return rate
 
 
+_DEVICE_PRESETS = {
+    "bulb-like": DeviceProfile(
+        "bulb-like", 5.0, _mixed(_PAIR_SIZES_A, 0.7), _mixed(_PAIR_SIZES_A, 0.3)
+    ),
+    "plug-like": DeviceProfile(
+        "plug-like", 9.0, _mixed(_PAIR_SIZES_B, 0.7), _mixed(_PAIR_SIZES_B, 0.3)
+    ),
+    # Volume extremes for cover-traffic calibration.
+    "camera-like": DeviceProfile(
+        "camera-like",
+        40.0,
+        incoming=((118, 0.35), (182, 0.15), (482, 0.08), (1382, 0.02)),
+        outgoing=((118, 0.25), (182, 0.05), (482, 0.07), (1382, 0.03)),
+    ),
+    "doorbell-like": DeviceProfile(
+        "doorbell-like", 0.8, incoming=((134, 0.5), (166, 0.2)), outgoing=((134, 0.2), (166, 0.1))
+    ),
+}
+
+
 def device_profile(name: str, mean_rate: float | None = None) -> DeviceProfile:
-    """Build a DeviceProfile from a named preset."""
-    try:
-        preset = _DEVICE_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(_DEVICE_PRESETS))
-        raise KeyError(f"unknown device profile {name!r} (known: {known})") from None
-    return DeviceProfile(
-        name=name,
-        mean_rate=preset["mean_rate"] if mean_rate is None else mean_rate,
-        incoming=preset["incoming"],
-        outgoing=preset["outgoing"],
-        mode_schedule=preset.get("mode_schedule", ()),
-    )
+    """A named preset, with its ``mean_rate`` overridden if given."""
+    preset = _preset(_DEVICE_PRESETS, "device", name)
+    return preset if mean_rate is None else replace(preset, mean_rate=mean_rate)
 
 
 def device_profile_names() -> tuple[str, ...]:

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from .errors import ConfigurationError, IntegrityError, TransportError
+from .profiles import NON_NEGATIVE, POSITIVE, check_value
 from .rng import derive_seed, make_rng
 from .segcore import SegmentationConfig, SegmentPlan, iter_chunks, segment_message
 
@@ -37,6 +38,10 @@ class SocketTuning:
     no_delay: bool = True
     send_buffer_bytes: int = DEFAULT_SEND_BUFFER
     receive_buffer_bytes: int = DEFAULT_RECV_BUFFER
+
+    def __post_init__(self):
+        for field in ("send_buffer_bytes", "receive_buffer_bytes"):
+            check_value(getattr(self, field), field, int, BUFFER_BYTES)
 
     def validate_for_shaping(self) -> None:
         if not self.no_delay:
@@ -207,17 +212,19 @@ def run_receiver(
     recv_buffer: int = DEFAULT_RECV_BUFFER,
     drain_pause_s: float = 0.0,
     listening: "threading.Event | None" = None,
-    _result: list | None = None,
 ) -> TransferStats:
     """Accept one connection, drain it to EOF, and report byte count, wall
     time, and the payload digest. Shaping-agnostic by construction.
 
-    With `drain_pause_s` > 0 the receiver acts as a bursty consumer: it
-    empties the backlog, stalls for that long, and repeats. Stalls keep the
-    sender blocked on its socket buffer, so buffer sizing becomes visible in
-    sender wall time even over loopback."""
-    if drain_pause_s < 0:
-        raise ValueError("drain_pause_s must be >= 0")
+    One loop serves both consumers. Each pass reads one block. With
+    `drain_pause_s` > 0 the receiver is a bursty consumer: it keeps reading
+    while more data is ready, then hashes that backlog and stalls for that
+    long. Stalls keep the sender blocked on its socket buffer, so buffer
+    sizing becomes visible in sender wall time even over loopback. With no
+    pause it is a greedy consumer that hashes each block as it comes."""
+    timeout = check_value(timeout, "timeout", float, POSITIVE)
+    check_value(recv_buffer, "recv_buffer", int, BUFFER_BYTES)
+    drain_pause_s = check_value(drain_pause_s, "drain_pause_s", float, NON_NEGATIVE)
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_buffer)
@@ -236,44 +243,34 @@ def run_receiver(
     digest = hashlib.sha256()
     received = 0
     started = None
-    eof = False
     with conn:
         conn.settimeout(timeout)
-        while not eof:
-            block = conn.recv(65536)
+        while True:
+            backlog = block = conn.recv(65536)
             if started is None:
                 started = time.perf_counter()
+            if drain_pause_s:
+                # Drain with bare recv calls so the backlog empties faster
+                # than the sender refills it; hash only once the pipe runs
+                # dry, else the stall below never triggers and pacing
+                # silently degrades.
+                pieces = [block]
+                while block and select.select([conn], [], [], 0)[0]:
+                    block = conn.recv(65536)
+                    pieces.append(block)
+                backlog = b"".join(pieces)
+            digest.update(backlog)
+            received += len(backlog)
             if not block:
                 break
-            if drain_pause_s == 0.0:
-                digest.update(block)
-                received += len(block)
-                continue
-            # Drain with bare recv calls so the backlog empties faster than
-            # the sender refills it; hash only once the pipe runs dry, else
-            # the stall below never triggers and pacing silently degrades.
-            backlog = [block]
-            while True:
-                ready, _, _ = select.select([conn], [], [], 0)
-                if not ready:
-                    break
-                block = conn.recv(65536)
-                if not block:
-                    eof = True
-                    break
-                backlog.append(block)
-            for piece in backlog:
-                digest.update(piece)
-                received += len(piece)
-            if not eof:
+            if drain_pause_s:
                 time.sleep(drain_pause_s)
-    wall = time.perf_counter() - (started if started is not None else time.perf_counter())
-    stats = TransferStats(
-        bytes_sent=received, packets_sent=0, wall_time=wall, checksum=digest.hexdigest()
+    return TransferStats(
+        bytes_sent=received,
+        packets_sent=0,
+        wall_time=time.perf_counter() - started,
+        checksum=digest.hexdigest(),
     )
-    if _result is not None:
-        _result.append(stats)
-    return stats
 
 
 def bound_port(host: str = "127.0.0.1") -> int:
@@ -328,13 +325,12 @@ def run_transfer_benchmark(
         listening = threading.Event()
         result: list[TransferStats] = []
         receiver = threading.Thread(
-            target=run_receiver,
+            target=lambda *args, **kwargs: result.append(run_receiver(*args, **kwargs)),
             args=(port,),
             kwargs={
                 "recv_buffer": rx_buffer,
                 "drain_pause_s": receiver_pause_s,
                 "listening": listening,
-                "_result": result,
             },
             daemon=True,
         )

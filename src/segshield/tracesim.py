@@ -153,13 +153,9 @@ _WRITE_ROWS = 1 << 12  # rows formatted at a time, to bound the memory a write t
 _READ_BYTES = 1 << 18
 
 
-def _trace_format(path: str | Path, format: str | None) -> str:
-    """``format`` if given, else csv for a ``.csv`` suffix and jsonl for any other."""
-    if format is None:
-        format = "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise TraceFormatError(f"unknown trace format {format!r}")
-    return format
+def _trace_format(path: str | Path) -> str:
+    """csv for a ``.csv`` suffix, jsonl for any other."""
+    return "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
 
 
 def _row_format(device: str, format: str):
@@ -198,10 +194,9 @@ def _row_format(device: str, format: str):
     return header, newline, render
 
 
-def write_trace(trace: Trace, path: str | Path, format: str | None = None) -> None:
-    """Write a jsonl or csv trace file; the format follows the suffix unless
-    ``format`` is given."""
-    header, newline, render = _row_format(trace.device, _trace_format(path, format))
+def write_trace(trace: Trace, path: str | Path) -> None:
+    """Write a csv trace file for a ``.csv`` suffix, else a jsonl one."""
+    header, newline, render = _row_format(trace.device, _trace_format(path))
     with open(path, "w", newline=newline) as fh:
         fh.write(header)
         for start in range(0, len(trace), _WRITE_ROWS):
@@ -384,16 +379,14 @@ def _ingest_written_jsonl(path: str | Path, header_bytes: int) -> Trace | None:
         raise TraceFormatError(exc.reason, line=exc.index + 1) from exc
 
 
-def ingest_trace(
-    path: str | Path, format: str | None = None, header_bytes: int = DEFAULT_HEADER_BYTES
-) -> Trace:
-    """Load and validate one device's trace from a jsonl or csv file. Errors
-    name the line of the first bad record.
+def ingest_trace(path: str | Path, header_bytes: int = DEFAULT_HEADER_BYTES) -> Trace:
+    """Load and validate one device's trace from a csv file (by its ``.csv``
+    suffix) or a jsonl one. Errors name the line of the first bad record.
 
     A jsonl file in write_trace's own format is read as columns; any other
     file, or one with any line in another form, is read line by line.
     """
-    format = _trace_format(path, format)
+    format = _trace_format(path)
     trace = _ingest_written_jsonl(path, header_bytes) if format == "jsonl" else None
     return trace if trace is not None else _ingest_lines(path, format, header_bytes)
 

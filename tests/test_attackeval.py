@@ -104,14 +104,16 @@ def _best_split(values, y, n_classes):
 
 
 def walk_predict(model, vectors):
-    """Majority vote of a per-row walk down each tree's nodes."""
+    """Majority vote of a per-row walk down each tree's node arrays."""
+    nodes = model.nodes
     out = []
     for vec in vectors:
         votes = [0] * len(model.labels)
-        for node in model.trees:
-            while not node.is_leaf:
-                node = node.left if vec.values[node.feature] <= node.threshold else node.right
-            votes[node.label_index] += 1
+        for node in model.roots:
+            while nodes.feature[node] >= 0:
+                goes_left = vec.values[nodes.feature[node]] <= nodes.threshold[node]
+                node = nodes.left[node] if goes_left else nodes.right[node]
+            votes[nodes.label[node]] += 1
         out.append(model.labels[votes.index(max(votes))])
     return out
 

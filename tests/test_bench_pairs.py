@@ -132,3 +132,22 @@ def test_parent_spread_beyond_the_bound_is_unresolved_unless_every_run_wins():
     faster = [(0.1, 10.0), (0.2, 10.0), (0.3, 10.0), (0.4, 10.0), (0.45, 10.0)]
     block = bench_pairs.summarize(paired_runs(parent, faster), END_TO_END)["w"]
     assert block["op_s_p50"]["unresolved"] is False
+
+
+def test_count_lines_skips_blank_and_comment_lines_only(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""A docstring\n\nspans lines."""\n'  # 2 docstring lines count, the blank one not
+        "\n"
+        "   \t \n"
+        "# a comment\n"
+        "    # an indented comment\n"
+        "x = 1  # code with a comment\n"
+        "def f():\n"
+        "    return '#'\n"
+    )
+    (tmp_path / "b.py").write_text("y = 2\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert bench_pairs.count_lines(tmp_path) == 6
+    assert bench_pairs.main(["--count-lines", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "6\n"

@@ -1,9 +1,11 @@
 """Byte-identity goldens: the sha256 of every file three small experiments write.
 
 The digests were captured before traces became columnar, and the wide-cover
-ones before the cover draws were replayed from raw generator words. A change that
-alters any report or trace byte fails here; if the format is meant to
-change, the change says why and the digests are captured again.
+ones before cover injection drew through a replay of raw generator words.
+That replay is gone; the plain draw loop that took its place writes the
+same bytes. A change that alters any report or trace byte fails here; if
+the format is meant to change, the change says why and the digests are
+captured again.
 """
 
 import hashlib

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import socket
 import threading
 
@@ -25,11 +26,9 @@ def start_receiver(**kwargs):
     port = bound_port()
     listening = threading.Event()
     result: list = []
+    kwargs = {"listening": listening, "timeout": 10, **kwargs}
     thread = threading.Thread(
-        target=run_receiver,
-        args=(port,),
-        kwargs={"listening": listening, "_result": result, "timeout": 10, **kwargs},
-        daemon=True,
+        target=lambda: result.append(run_receiver(port, **kwargs)), daemon=True
     )
     thread.start()
     assert listening.wait(5)
@@ -46,6 +45,12 @@ class TestTuningAndStats:
         tuning = SocketTuning(no_delay=True, send_buffer_bytes=2**17, receive_buffer_bytes=2**16)
         with pytest.raises(ConfigurationError):
             tuning.validate_for_shaping()
+
+    @pytest.mark.parametrize("field", ["send_buffer_bytes", "receive_buffer_bytes"])
+    @pytest.mark.parametrize("value", [0, -5, True, 2**31, 2**32, 4096.0, "4096"])
+    def test_buffer_outside_a_c_int_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SocketTuning(**{field: value})
 
     def test_stats_log_must_account_for_bytes(self):
         with pytest.raises(ValueError):
@@ -136,6 +141,49 @@ class TestLoopbackTransfers:
         thread.join(10)
         assert result[0].checksum == hashlib.sha256(payload).hexdigest()
         assert result[0].bytes_sent == len(payload)
+
+    def test_bursty_consumer_stalls(self):
+        payload = bytes(200_000)
+        port, thread, result = start_receiver(recv_buffer=2**14, drain_pause_s=0.05)
+        conn = open_shaped_connection(("127.0.0.1", port), config=None)
+        with conn:
+            conn.send(payload)
+            conn.finish()
+        thread.join(10)
+        assert result[0].bytes_sent == len(payload)
+        assert result[0].wall_time >= 0.05
+
+    @pytest.mark.parametrize("pause", [0.0, 0.05])
+    def test_connection_closed_before_sending(self, pause):
+        port, thread, result = start_receiver(drain_pause_s=pause)
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+        thread.join(5)
+        assert result[0].bytes_sent == 0
+        assert result[0].checksum == hashlib.sha256(b"").hexdigest()
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"timeout": 0.0}, "timeout"),
+            ({"timeout": -1}, "timeout"),
+            ({"timeout": math.nan}, "timeout"),
+            ({"timeout": math.inf}, "timeout"),
+            ({"recv_buffer": 0}, "recv_buffer"),
+            ({"recv_buffer": 2**31}, "recv_buffer"),
+            ({"recv_buffer": True}, "recv_buffer"),
+            ({"drain_pause_s": math.nan}, "drain_pause_s"),
+        ],
+    )
+    def test_bad_receiver_argument_rejected_before_any_socket(self, monkeypatch, kwargs, name):
+        def no_socket(*args):
+            raise AssertionError("a socket was opened")
+
+        port = bound_port()
+        monkeypatch.setattr(socket, "socket", no_socket)
+        listening = threading.Event()
+        with pytest.raises(ConfigurationError, match=name):
+            run_receiver(port, listening=listening, **kwargs)
+        assert not listening.is_set()
 
     def test_negative_drain_pause_rejected(self):
         with pytest.raises(ValueError):

@@ -273,7 +273,7 @@ class TestTraceIO:
     def test_csv_roundtrip(self, tmp_path):
         trace = mk_trace([130, -116, 144])
         path = tmp_path / "t.csv"
-        write_trace(trace, path, format="csv")
+        write_trace(trace, path)
         assert ingest_trace(path) == trace
 
     @pytest.mark.parametrize("device", ["dev", 'a%d "b",c', "", " é\nx"])
@@ -285,7 +285,7 @@ class TestTraceIO:
             device,
         )
         write_trace(trace, tmp_path / "t.jsonl")
-        write_trace(trace, tmp_path / "t.csv", format="csv")
+        write_trace(trace, tmp_path / "t.csv")
         keys = ("timestamp_us", "signed_size", "covered")
         lines = [
             json.dumps({**dict(zip(keys, row)), "device": device}, sort_keys=True) + "\n"
@@ -380,10 +380,6 @@ class TestTraceIO:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         with pytest.raises(TraceFormatError):
             ingest_trace(path)
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(TraceFormatError):
-            ingest_trace(tmp_path / "t.xyz", format="pcap")
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "t.csv"

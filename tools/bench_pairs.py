@@ -11,7 +11,12 @@ Each run is the BENCHMARK.json command with ``--workload W --seed N --seconds T
 its result. A run that exits non-zero, or whose last line is not JSON, is kept
 with its exit code and counted as one attempted operation that failed. No run
 is dropped. The file is rewritten after every run, so an interrupted run
-keeps what it measured.
+keeps what it measured. It also records ``src_lines``, each side's count of
+non-blank, non-comment lines under ``src/``.
+
+    python3 tools/bench_pairs.py --count-lines src
+
+prints that count for one directory and exits; CI reports the same figure.
 """
 
 from __future__ import annotations
@@ -27,6 +32,17 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 SIDES = ("parent", "change")
+
+
+def count_lines(directory: str | Path) -> int:
+    """Lines of the ``*.py`` files under ``directory`` that count: all but the
+    blank ones and those whose first non-blank character is ``#``."""
+    total = 0
+    for path in sorted(Path(directory).rglob("*.py")):
+        for line in path.read_text().split("\n"):
+            text = line.lstrip(" \t\r\f\v")
+            total += bool(text) and not text.startswith("#")
+    return total
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -128,14 +144,22 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads(BENCHMARK.read_text())
     names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--count-lines", metavar="DIR", help="print DIR's line count and exit")
+    parser.add_argument("--parent", help="checkout of the parent commit")
+    parser.add_argument("--change", help="checkout of the change")
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--first-seed", type=int)
     parser.add_argument("--seconds", type=float, default=bench.get("run_seconds", 25))
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
-    parser.add_argument("--out", required=True, help="the BENCH json file to write")
+    parser.add_argument("--out", help="the BENCH json file to write")
     args = parser.parse_args(argv)
+    if args.count_lines is not None:
+        print(count_lines(args.count_lines))
+        return 0
+    needed = ("parent", "change", "pairs", "first_seed", "out")
+    missing = [f"--{name.replace('_', '-')}" for name in needed if getattr(args, name) is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     directories = {"parent": args.parent, "change": args.change}
@@ -152,6 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": f"{os.cpu_count()} CPUs, {platform.system()}, "
         f"Python {platform.python_version()}, numpy {numpy}",
         "claim": None,
+        "src_lines": {side: count_lines(Path(directories[side]) / "src") for side in SIDES},
         "runs": [],
         "summary": {},
     }
