@@ -14,12 +14,10 @@ from .segcore import (
     SegmentationConfig,
     SegmentPlan,
     iter_chunks,
-    pad_packet_random,
     payload_capacity,
     plan_default_segments,
     segment_lengths,
     segment_message,
-    select_band,
 )
 
 __version__ = "0.1.0"
@@ -36,11 +34,9 @@ __all__ = [
     "derive_seed",
     "iter_chunks",
     "make_rng",
-    "pad_packet_random",
     "payload_capacity",
     "plan_default_segments",
     "segment_lengths",
     "segment_message",
-    "select_band",
     "__version__",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from math import isqrt
+from math import ceil, isqrt, log
 from numbers import Integral
 from typing import Iterable, Sequence
 
@@ -300,6 +300,39 @@ def _bootstrap_rows(rng: random.Random, n: int) -> np.ndarray:
     return np.array(rows, np.int64)
 
 
+def _sorted_sample(rng: random.Random, n: int, k: int) -> list[int]:
+    """``sorted(rng.sample(range(n), k))`` for 0 < k <= n, drawn as CPython
+    draws it: each ``randbelow(m)`` is ``getrandbits(m.bit_length())`` until
+    the value is below m. Inlined, it costs no Python frame per draw."""
+    getrandbits = rng.getrandbits
+    setsize = 21  # CPython's choice between its two branches, kept exactly
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        # A pool of the unselected: draw below its size, move its last entry
+        # into the vacancy.
+        pool = list(range(n))
+        picked = []
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[m - 1]
+        picked.sort()
+        return picked
+    # A set of the selected: draw below n again while the value is taken.
+    selected: set[int] = set()
+    bits = n.bit_length()
+    while len(selected) < k:
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        selected.add(j)
+    return sorted(selected)
+
+
 def _grow_forest(
     XT: np.ndarray,
     y: np.ndarray,
@@ -351,7 +384,7 @@ def _grow_forest(
                 if max_features is None:
                     candidates = all_features
                 else:
-                    candidates = sorted(rngs[t].sample(range(len(XT)), max_features))
+                    candidates = _sorted_sample(rngs[t], len(XT), max_features)
                 size = len(rows) * len(candidates)
                 if batch and entries + size > _SEARCH_ENTRIES:
                     _split_batch(XT, keys, values, y, batch, trees, stacks)

@@ -102,6 +102,10 @@ class DeviceProfile:
                 raise ConfigurationError("frame lengths must be >= 1")
             if not (weight > 0 and math.isfinite(weight)):
                 raise ConfigurationError("weights must be positive and finite")
+        # Synthesis scales a uniform draw by each direction's weight total.
+        for pairs in (self.incoming, self.outgoing):
+            if not math.isfinite(sum(w for _, w in pairs)):
+                raise ConfigurationError("each direction's weights must total a finite number")
         for start, end, mult in self.mode_schedule:
             if end <= start or mult < 0:
                 raise ConfigurationError("bad mode_schedule entry")

@@ -1,5 +1,6 @@
-"""Random segmentation of application messages, plus the two baselines it is
-measured against: default MSS-sized segmentation and random packet padding.
+"""Random segmentation of application messages, plus the undefended baseline
+it is measured against: default MSS-sized segmentation. The random-padding
+baseline works on whole traces, in ``tracesim.pad_trace``.
 
 Everything here is pure and deterministic given the caller's random source,
 so traces and live transfers replay exactly from a seed.
@@ -114,20 +115,11 @@ def plan_default_segments(n: int, mss: int) -> SegmentPlan:
     return SegmentPlan(tuple(lengths), segmented=False)
 
 
-def select_band(msg_len: int, config: SegmentationConfig) -> LevelBand:
-    """Pick the first band whose threshold admits ``msg_len`` (inclusive);
-    the final band is the catch-all."""
-    if msg_len < 1:
-        raise ValueError(f"message length must be >= 1, got {msg_len}")
-    for band in config.bands:
-        if band.covers(msg_len):
-            return band
-    return config.bands[-1]
-
-
 def segment_lengths(n: int, config: SegmentationConfig, rng: random.Random) -> SegmentPlan:
     """Split an ``n``-byte message into randomly sized chunks.
 
+    The message's band is the first whose threshold admits ``n``
+    (inclusive); the final band takes any message that none admits.
     Messages shorter than the band's min_seg, or losing the probability
     draw (a uniform draw in [0, 1) wins only below prob, so prob=0 never
     segments), pass through whole. Otherwise chunk lengths are drawn
@@ -137,28 +129,41 @@ def segment_lengths(n: int, config: SegmentationConfig, rng: random.Random) -> S
     """
     if n < 1:
         raise ValueError(f"message length must be >= 1, got {n}")
-    band = select_band(n, config)
+    for band in config.bands:
+        if band.upper_threshold is None or n <= band.upper_threshold:
+            break
+    min_seg = band.min_seg
     # Short-circuit keeps the probability draw unconsumed for ineligible
     # messages, mirroring the send-path behaviour exactly.
-    if n < band.min_seg or rng.random() >= config.prob:
-        return SegmentPlan((n,), segmented=False)
-    lengths: list[int] = []
-    start = 0
-    # rng.randint(min_seg, max_seg) as CPython's random.Random draws it:
-    # getrandbits(k) until the value is below the span. Inlined, it costs no
-    # Python frame.
-    span = band.max_seg - band.min_seg + 1
-    k = span.bit_length()
-    getrandbits = rng.getrandbits
-    while start < n:
-        r = getrandbits(k)
-        while r >= span:
+    if n < min_seg or rng.random() >= config.prob:
+        lengths, segmented = (n,), False
+    else:
+        # rng.randint(min_seg, max_seg) as CPython's random.Random draws it:
+        # getrandbits(k) until the value is below the span. Inlined, it costs
+        # no Python frame.
+        span = band.max_seg - min_seg + 1
+        k = span.bit_length()
+        getrandbits = rng.getrandbits
+        chunks: list[int] = []
+        append = chunks.append
+        remaining = n
+        while True:
             r = getrandbits(k)
-        rand_len = band.min_seg + r
-        index = n if start + rand_len >= n else start + rand_len
-        lengths.append(index - start)
-        start = index
-    return SegmentPlan(tuple(lengths), segmented=True)
+            while r >= span:
+                r = getrandbits(k)
+            r += min_seg
+            if r >= remaining:
+                append(remaining)
+                break
+            append(r)
+            remaining -= r
+        lengths, segmented = tuple(chunks), True
+    # Every chunk above is positive and there is at least one, so the plan
+    # skips SegmentPlan's checks, which cost as much as the draws.
+    plan = object.__new__(SegmentPlan)
+    object.__setattr__(plan, "lengths", lengths)
+    object.__setattr__(plan, "segmented", segmented)
+    return plan
 
 
 def segment_message(
@@ -179,18 +184,3 @@ def iter_chunks(data: bytes | bytearray | memoryview, plan: SegmentPlan) -> Iter
     for length in plan.lengths:
         yield view[start : start + length]
         start += length
-
-
-def pad_packet_random(payload_len: int, mtu_payload: int, rng: random.Random) -> int:
-    """Random-padding baseline: grow the payload by a uniform amount of
-    filler, up to the packet ceiling. Full packets stay untouched."""
-    if payload_len < 1:
-        raise ValueError(f"payload length must be >= 1, got {payload_len}")
-    if payload_len > mtu_payload:
-        raise ValueError(
-            f"payload {payload_len} exceeds packet ceiling {mtu_payload}"
-        )
-    available = mtu_payload - payload_len
-    if available == 0:
-        return payload_len
-    return payload_len + rng.randint(1, available)

@@ -12,8 +12,10 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 from array import array
+from bisect import bisect
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice
 from pathlib import Path
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, TraceFormatError, TraceRecordError
 from .profiles import DeviceProfile
 from .rng import make_rng
-from .segcore import DEFAULT_MTU, SegmentationConfig, pad_packet_random, segment_lengths
+from .segcore import DEFAULT_MTU, SegmentationConfig, segment_lengths
 
 DEFAULT_HEADER_BYTES = 82  # MAC-level frame header; IP-level accounting uses 54
 DEFAULT_MTU_FRAME = DEFAULT_MTU + DEFAULT_HEADER_BYTES
@@ -146,6 +148,9 @@ _COLUMNS = (*_COLUMN_TYPES, "device")
 
 
 _WRITE_ROWS = 1 << 12  # rows formatted at a time, to bound the memory a write takes
+# Sizes whose line texts one row format keeps: a padded trace holds about
+# 3,000, and 2**14 sizes hold about 4 MB of texts.
+_KNOWN_SIZES = 1 << 14
 # Bytes read at a time by the columnar jsonl reader, then extended to the end
 # of a line. Parsing a block holds about three times its size, and at 1 MiB
 # that set the peak memory of an experiment over recorded traces; blocks of
@@ -181,11 +186,21 @@ def _row_format(device: str, format: str):
         def text(size, covered):
             return f"{size},{int(covered)},{device}"
 
+    # A line is the timestamp plus a text fixed by (signed_size, covered).
+    # Each size's two texts are formatted once for every call of render, for
+    # up to _KNOWN_SIZES sizes; texts of further sizes are formatted per call.
+    known: dict[int, tuple[str, str]] = {}
+
+    def new_texts(size):
+        pair = text(size, False), text(size, True)
+        if len(known) < _KNOWN_SIZES:
+            known[size] = pair
+        return pair
+
     def render(timestamp_us, signed_size, covered) -> str:
-        # A line is the timestamp plus a text fixed by (signed_size, covered);
-        # a trace has few distinct sizes, so each text is formatted once a call.
         sizes, size_index = np.unique(signed_size, return_inverse=True)
-        texts = np.array([text(size, c) for size in sizes.tolist() for c in (False, True)], object)
+        texts = [known.get(size) or new_texts(size) for size in sizes.tolist()]
+        texts = np.array([*chain.from_iterable(texts)], object)
         kinds = texts[2 * size_index + covered].tolist()
         timestamps = timestamp_us.tolist()
         pairs = zip(kinds, timestamps) if format == "jsonl" else zip(timestamps, kinds)
@@ -435,28 +450,37 @@ def synthesize_trace(
         raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
     if not DURATION[0](duration_s):
         raise ValueError(f"duration_s must be {DURATION[1]}, got {duration_s!r}")
-    rng = make_rng(rng)
+    random_ = make_rng(rng).random
 
-    in_sizes = [l for l, _ in profile.incoming]
-    in_weights = [w for _, w in profile.incoming]
-    out_sizes = [l for l, _ in profile.outgoing]
-    out_weights = [w for _, w in profile.outgoing]
-    p_out = sum(out_weights) / (sum(in_weights) + sum(out_weights))
+    # rng.choices(sizes, weights)[0] as CPython's random.Random draws it: one
+    # random() times the weights' total, placed by bisect in their running
+    # sums. A direction without sizes is never drawn from (p_out is 0 or 1).
+    tables = []
+    for pairs in (profile.incoming, profile.outgoing):
+        running = list(accumulate(w for _, w in pairs))
+        total = running[-1] + 0.0 if running else 0.0
+        tables.append(([l for l, _ in pairs], running, total, len(running) - 1))
+    (in_sizes, in_running, in_total, in_last), (out_sizes, out_running, out_total, out_last) = tables
+    p_out = sum(w for _, w in profile.outgoing) / (
+        sum(w for _, w in profile.incoming) + sum(w for _, w in profile.outgoing)
+    )
 
     peak = profile.mean_rate * max([1.0, *(m for _, _, m in profile.mode_schedule)])
+    rate_at = profile.rate_at
     timestamps: list[int] = []
     sizes: list[int] = []
     t = 0.0
     while True:
-        t += rng.expovariate(peak)
+        # rng.expovariate(peak) as CPython draws it.
+        t += -math.log(1.0 - random_()) / peak
         if t >= duration_s:
             break
-        if rng.random() * peak > profile.rate_at(t):
+        if random_() * peak > rate_at(t):
             continue
-        if rng.random() < p_out:
-            sizes.append(-rng.choices(out_sizes, out_weights)[0])
+        if random_() < p_out:
+            sizes.append(-out_sizes[bisect(out_running, random_() * out_total, 0, out_last)])
         else:
-            sizes.append(rng.choices(in_sizes, in_weights)[0])
+            sizes.append(in_sizes[bisect(in_running, random_() * in_total, 0, in_last)])
         timestamps.append(round(t * 1e6))
     return Trace(timestamps, sizes, np.zeros(len(sizes), bool), profile.name, header_bytes)
 
@@ -550,10 +574,24 @@ def pad_trace(trace: Trace, mtu_frame: int, rng: random.Random | int) -> Trace:
     """Random-padding baseline: every frame grows to a uniform size up to
     the frame ceiling; packet count and timing stay unchanged."""
     check_mtu_frame(trace, mtu_frame)
-    rng = make_rng(rng)
-    sizes = np.abs(trace.signed_size)
-    padded = [pad_packet_random(size, mtu_frame, rng) for size in sizes.tolist()]
-    padded = np.array(padded, np.int64) * np.sign(trace.signed_size)
+    mtu_frame = operator.index(mtu_frame)
+    # Each frame below the ceiling grows by rng.randint(1, mtu_frame - size)
+    # as CPython's random.Random draws it: 1 + getrandbits(k) until the value
+    # is below the span. Inlined, it costs no Python frame. A full frame
+    # draws nothing.
+    getrandbits = make_rng(rng).getrandbits
+    padded = array("q")  # 8 bytes an entry
+    append = padded.append
+    for size in np.abs(trace.signed_size).tolist():
+        span = mtu_frame - size
+        if span:
+            k = span.bit_length()
+            r = getrandbits(k)
+            while r >= span:
+                r = getrandbits(k)
+            size += 1 + r
+        append(size)
+    padded = np.frombuffer(padded, np.int64) * np.sign(trace.signed_size)
     # The timestamp and covered columns are the input's own, shared read-only.
     return replace(trace, signed_size=_frozen(padded))
 

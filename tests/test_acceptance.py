@@ -26,7 +26,6 @@ from segshield.segcore import (
     iter_chunks,
     plan_default_segments,
     segment_message,
-    select_band,
 )
 from segshield.shaper import SocketTuning, mean_wall_time, run_transfer_benchmark
 from segshield.tracesim import (
@@ -39,6 +38,12 @@ from segshield.tracesim import (
 
 # ---------------------------------------------------------------------------
 # shared segmentation sweep for criteria 1 and 2
+
+
+def _band(n: int, config: SegmentationConfig) -> LevelBand:
+    """The band an n-byte message's chunks are drawn from: the first whose
+    threshold admits n, else the final one."""
+    return next((band for band in config.bands if band.covers(n)), config.bands[-1])
 
 
 def _random_config(master: random.Random) -> SegmentationConfig:
@@ -67,7 +72,7 @@ def segmentation_sweep():
         data = master.randbytes(n)
         plan = segment_message(data, config, random.Random(master.getrandbits(64)))
         joined = b"".join(bytes(c) for c in iter_chunks(data, plan))
-        band = select_band(n, config)
+        band = _band(n, config)
         trials.append((n, band, plan, joined == data))
     elapsed = time.perf_counter() - start
     return trials, elapsed

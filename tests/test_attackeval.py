@@ -14,6 +14,7 @@ from segshield.attackeval import (
     _bootstrap_rows,
     _rank_keys,
     _search_splits,
+    _sorted_sample,
     check_attack_parameters,
     evaluate,
     extract_windows,
@@ -582,6 +583,29 @@ class TestLockstepForest:
         assert rows.dtype == np.int64
         assert rows.tolist() == [loop.randrange(n) for _ in range(n)]
         assert block.getstate() == loop.getstate()
+
+    # CPython's sample draws from a pool of the unselected while n is at most
+    # 21 + (k > 5 and 4 ** ceil(log(3k, 4))), else into a set of the selected:
+    # pools up to n = 21, 85 and 277 here, sets just above.
+    @pytest.mark.parametrize(
+        "n,k",
+        [(1, 1), (5, 5), (21, 5), (22, 1), (22, 5), (85, 6), (86, 6), (85, 21), (86, 21),
+         (277, 22), (278, 22), (300, 300)],
+    )
+    def test_feature_sample_matches_sample_at_each_branch_edge(self, n, k):
+        for seed in range(20):
+            inlined, stdlib = random.Random(seed), random.Random(seed)
+            assert _sorted_sample(inlined, n, k) == sorted(stdlib.sample(range(n), k))
+            assert inlined.getstate() == stdlib.getstate()
+
+    @given(n=st.integers(1, 300), data=st.data(), seed=st.integers(0, 2**32))
+    def test_feature_sample_matches_sample(self, n, data, seed):
+        # k of 1, up to 5 and above 5 take CPython's three set-size rules.
+        k = data.draw(st.sampled_from([1, min(n, 5), n]) | st.integers(1, n))
+        inlined, stdlib = random.Random(seed), random.Random(seed)
+        for _ in range(3):  # successive nodes of one tree draw from one generator
+            assert _sorted_sample(inlined, n, k) == sorted(stdlib.sample(range(n), k))
+        assert inlined.getstate() == stdlib.getstate()
 
     @given(search_batches())
     def test_batched_search_matches_one_node_at_a_time(self, batch):

@@ -151,3 +151,42 @@ def test_count_lines_skips_blank_and_comment_lines_only(tmp_path, capsys):
     assert bench_pairs.count_lines(tmp_path) == 6
     assert bench_pairs.main(["--count-lines", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "6\n"
+
+
+def test_layer_summary_compares_each_measured_layer_side_by_side():
+    per_layer = [
+        {"name": "segcore.busy_s", "unit": "s", "better": "lower"},
+        {"name": "tracesim.pad_s", "unit": "s", "better": "lower"},
+        {"name": "shaper.send_s", "unit": "s", "better": "lower"},
+        {"name": "segcore.chunks", "unit": "count", "better": "higher"},
+        {"name": "tracesim.cover_s", "unit": "s", "better": "lower"},
+    ]
+
+    def traced(workload, side, values):
+        """A --trace 1 run's record with these per-layer values."""
+        metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
+        outcome = {"correct": True, "attempted": 4, "failed": 0, "metrics": metrics}
+        return bench_pairs.record(workload, 0, 101, side, "traced", 0, outcome, "")
+
+    exp_parent = {"segcore.busy_s": 0.2, "tracesim.pad_s": 0.0, "shaper.send_s": 0.0,
+                  "segcore.chunks": 100, "tracesim.cover_s": 0.5}
+    exp_change = {"segcore.busy_s": 0.15, "tracesim.pad_s": 0.01, "shaper.send_s": 0.0,
+                  "segcore.chunks": 100}
+    runs = [
+        traced("exp", "parent", exp_parent),
+        traced("exp", "change", exp_change),
+        traced("loop", "parent", {"segcore.busy_s": 0.01}),
+        # The change's traced run of "loop" failed: nothing to compare.
+        bench_pairs.record("loop", 0, 101, "change", "traced", 1, None, "Traceback"),
+    ]
+    layers = bench_pairs.summarize_layers(runs, per_layer)
+    assert layers == {
+        "exp": {
+            "segcore.busy_s": {"parent": 0.2, "change": 0.15, "change_over_parent": -0.25},
+            # A parent value of 0 has no ratio.
+            "tracesim.pad_s": {"parent": 0.0, "change": 0.01, "change_over_parent": None},
+            "segcore.chunks": {"parent": 100, "change": 100, "change_over_parent": 0.0},
+            # shaper.send_s reads 0 on both sides; cover_s only on one.
+        },
+        "loop": {},
+    }

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,24 +11,34 @@ from segshield.segcore import (
     SegmentationConfig,
     SegmentPlan,
     iter_chunks,
-    pad_packet_random,
     payload_capacity,
     plan_default_segments,
     segment_lengths,
     segment_message,
-    select_band,
 )
 from segshield.profiles import (
     resolve_segmentation,
     segmentation_profile,
     segmentation_profile_names,
 )
+from segshield.tracesim import Trace, pad_trace
+
+
+def reference_band(n, config):
+    """The band whose bounds segment_lengths draws an n-byte message's chunks
+    in, looked up as the planner once did in a call of its own: the first
+    band whose threshold admits n (inclusive), else the final one."""
+    for band in config.bands:
+        if band.covers(n):
+            return band
+    return config.bands[-1]
 
 
 def randint_segment_lengths(n, config, rng):
-    """segment_lengths as it drew chunk lengths with rng.randint: the oracle
-    for the inlined getrandbits draw."""
-    band = select_band(n, config)
+    """segment_lengths as it drew chunk lengths with rng.randint and built a
+    checked SegmentPlan: the oracle for the inlined band scan, getrandbits
+    draw and unchecked plan."""
+    band = reference_band(n, config)
     if n < band.min_seg or rng.random() >= config.prob:
         return SegmentPlan((n,), segmented=False)
     lengths = []
@@ -72,19 +82,34 @@ class TestPlanDefaultSegments:
 
 
 class TestSelectBand:
+    """The band rule, seen in the chunks that segment_lengths draws."""
+
+    @staticmethod
+    def drawn(n, config, seeds=20):
+        """Every chunk but the last of always-firing plans for n bytes."""
+        config = replace(config, prob=1.0)
+        plans = (segment_lengths(n, config, random.Random(seed)) for seed in range(seeds))
+        return {chunk for plan in plans for chunk in plan.lengths[:-1]}
+
     def test_small_message_first_band(self, high_bandwidth):
-        assert select_band(150, high_bandwidth).min_seg == 20
+        chunks = self.drawn(150, high_bandwidth)
+        assert 20 <= min(chunks) and max(chunks) <= 40
 
     def test_mid_message_second_band(self, high_bandwidth):
-        band = select_band(400, high_bandwidth)
-        assert (band.min_seg, band.max_seg) == (100, 300)
+        chunks = self.drawn(400, high_bandwidth)
+        assert 100 <= min(chunks) and max(chunks) <= 300
 
     def test_threshold_is_inclusive(self, high_bandwidth):
-        assert select_band(200, high_bandwidth).max_seg == 40
-        assert select_band(500, high_bandwidth).max_seg == 300
+        assert max(self.drawn(200, high_bandwidth)) <= 40
+        assert max(self.drawn(500, high_bandwidth)) <= 300
 
     def test_catch_all_band(self, high_bandwidth):
-        assert select_band(10**7, high_bandwidth).min_seg == 500
+        assert min(self.drawn(10**6, high_bandwidth, seeds=2)) >= 500
+
+    def test_message_above_every_threshold_takes_the_last_band(self):
+        config = SegmentationConfig(1.0, (LevelBand(5, 20, 250), LevelBand(300, 400, 1000)))
+        chunks = self.drawn(5000, config)
+        assert 300 <= min(chunks) and max(chunks) <= 400
 
 
 class TestSegmentLengths:
@@ -168,6 +193,15 @@ class TestSegmentLengths:
                 st.sampled_from([1, 2, 3, 255, 256, 257, 1024]),
                 st.floats(0.0, 1.0),
             ),
+            # A final band with a threshold: longer messages fall back to it.
+            st.builds(
+                lambda first, last, prob: SegmentationConfig(
+                    prob, (LevelBand(5, 20, first), LevelBand(30, 90, first + last))
+                ),
+                st.integers(1, 2000),
+                st.integers(1, 2000),
+                st.floats(0.0, 1.0),
+            ),
         ),
         lengths=st.lists(st.integers(1, 4000), min_size=1, max_size=30),
         seed=st.integers(0, 2**32),
@@ -175,7 +209,9 @@ class TestSegmentLengths:
     def test_matches_randint_body(self, config, lengths, seed):
         rng, oracle = random.Random(seed), random.Random(seed)
         for n in lengths:
-            assert segment_lengths(n, config, rng) == randint_segment_lengths(n, config, oracle)
+            plan, expected = segment_lengths(n, config, rng), randint_segment_lengths(n, config, oracle)
+            assert plan == expected
+            assert hash(plan) == hash(expected)
         assert rng.getstate() == oracle.getstate()
 
     @pytest.mark.parametrize("seed", range(5))
@@ -201,7 +237,7 @@ class TestSegmentLengths:
         config = segmentation_profile(name, prob=1.0)
         rng = random.SystemRandom()
         for n in [1, 2, 5, 99, 100, 101, 499, 500, 1459, 1460, 3000, 20000, *range(1, 4000, 37)]:
-            band = select_band(n, config)
+            band = reference_band(n, config)
             plan = segment_lengths(n, config, rng)
             assert plan.segmented == (n >= band.min_seg)
             assert plan.total == n
@@ -234,29 +270,38 @@ class TestSegmentMessage:
 
 
 class TestPadPacketRandom:
+    """The random-padding rule for one frame, through tracesim.pad_trace."""
+
+    @staticmethod
+    def padded(sizes, ceiling, rng):
+        trace = Trace(range(len(sizes)), sizes, [False] * len(sizes), "d")
+        return pad_trace(trace, ceiling, rng).signed_size.tolist()
+
     def test_at_ceiling_unchanged(self):
-        assert pad_packet_random(1400, 1400, random.Random(0)) == 1400
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert self.padded([1400, -1400], 1400, rng) == [1400, -1400]
+        assert rng.getstate() == state  # a full frame draws nothing
 
     def test_one_byte_short(self):
-        assert pad_packet_random(1399, 1400, random.Random(0)) == 1400
+        assert self.padded([1399, -1399], 1400, random.Random(0)) == [1400, -1400]
 
     def test_draws_cover_range_only(self):
-        rng = random.Random(5)
-        values = {pad_packet_random(100, 1400, rng) for _ in range(10**4)}
+        values = set(self.padded([100] * 10**4, 1400, random.Random(5)))
         assert min(values) >= 101
         assert max(values) <= 1400
 
-    @pytest.mark.parametrize("payload,ceiling", [(0, 1400), (1401, 1400), (-2, 10)])
+    @pytest.mark.parametrize("payload,ceiling", [(0, 1400), (1401, 1400), (-11, 10)])
     def test_rejects_out_of_range(self, payload, ceiling):
         with pytest.raises(ValueError):
-            pad_packet_random(payload, ceiling, random.Random(0))
+            self.padded([payload], ceiling, random.Random(0))
 
     @given(
         payload=st.integers(1, 1400),
         seed=st.integers(0, 2**32),
     )
     def test_never_shrinks_never_overflows(self, payload, seed):
-        padded = pad_packet_random(payload, 1400, random.Random(seed))
+        [padded] = self.padded([payload], 1400, random.Random(seed))
         assert payload <= padded <= 1400
 
 

@@ -169,6 +169,66 @@ FLAT_PROFILE = DeviceProfile(
 )
 
 
+def stdlib_synthesize_trace(profile, duration_s, rng):
+    """synthesize_trace as it drew with rng.expovariate and rng.choices: the
+    oracle for the inlined draws."""
+    in_sizes = [l for l, _ in profile.incoming]
+    in_weights = [w for _, w in profile.incoming]
+    out_sizes = [l for l, _ in profile.outgoing]
+    out_weights = [w for _, w in profile.outgoing]
+    p_out = sum(out_weights) / (sum(in_weights) + sum(out_weights))
+    peak = profile.mean_rate * max([1.0, *(m for _, _, m in profile.mode_schedule)])
+    timestamps, sizes = [], []
+    t = 0.0
+    while True:
+        t += rng.expovariate(peak)
+        if t >= duration_s:
+            break
+        if rng.random() * peak > profile.rate_at(t):
+            continue
+        if rng.random() < p_out:
+            sizes.append(-rng.choices(out_sizes, out_weights)[0])
+        else:
+            sizes.append(rng.choices(in_sizes, in_weights)[0])
+        timestamps.append(round(t * 1e6))
+    return Trace(timestamps, sizes, np.zeros(len(sizes), bool), profile.name)
+
+
+def randint_pad_trace(trace, mtu_frame, rng):
+    """pad_trace's sizes as it padded each frame with rng.randint: the oracle
+    for the inlined getrandbits draw."""
+    padded = []
+    for size in np.abs(trace.signed_size).tolist():
+        available = mtu_frame - size
+        padded.append(size if available == 0 else size + rng.randint(1, available))
+    return (np.array(padded, np.int64) * np.sign(trace.signed_size)).tolist()
+
+
+size_weights = st.lists(
+    st.tuples(st.integers(1, 1500), st.floats(1e-3, 1e3)), min_size=1, max_size=6
+)
+
+
+@st.composite
+def synthesis_profiles(draw):
+    """Profiles with both directions, incoming only or outgoing only, and
+    schedules that silence, keep or raise the rate."""
+    directions = draw(st.sampled_from(["both", "incoming", "outgoing"]))
+    schedule = draw(
+        st.lists(
+            st.tuples(st.floats(0, 20), st.floats(0.1, 20), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+            max_size=3,
+        )
+    )
+    return DeviceProfile(
+        name="drawn",
+        mean_rate=draw(st.floats(0.5, 50)),
+        incoming=draw(size_weights) if directions != "outgoing" else (),
+        outgoing=draw(size_weights) if directions != "incoming" else (),
+        mode_schedule=tuple((start, start + length, m) for start, length, m in schedule),
+    )
+
+
 class TestRecordAndTrace:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError, match="record 1: signed_size"):
@@ -299,6 +359,35 @@ class TestTraceIO:
                 (ts, size, int(covered), device) for ts, size, covered in as_rows(trace)
             )
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_sliced_writes_of_a_padded_trace_match_json_and_csv_writers(
+        self, tmp_path, monkeypatch
+    ):
+        # Padded sizes repeat across slices, so later slices reuse texts that
+        # earlier ones formatted; sizes past the kept ones are formatted anew.
+        monkeypatch.setattr(tracesim, "_WRITE_ROWS", 64)
+        monkeypatch.setattr(tracesim, "_KNOWN_SIZES", 100)
+        trace = pad_trace(replace(recorded_like_trace(2000), device='a "b",c'), 400, 7)
+        assert len(np.unique(trace.signed_size)) > 100
+        write_trace(trace, tmp_path / "t.jsonl")
+        write_trace(trace, tmp_path / "t.csv")
+        keys = ("timestamp_us", "signed_size", "covered")
+        lines = [
+            json.dumps({**dict(zip(keys, row)), "device": trace.device}, sort_keys=True) + "\n"
+            for row in as_rows(trace)
+        ]
+        assert (tmp_path / "t.jsonl").read_text() == "".join(lines)
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp_us", "signed_size", "covered", "device"])
+            writer.writerows(
+                (ts, size, int(covered), trace.device) for ts, size, covered in as_rows(trace)
+            )
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        # The columnar reader renders each block back through the same texts.
+        monkeypatch.setattr(tracesim, "_READ_BYTES", 1 << 12)
+        monkeypatch.setattr(tracesim, "_ingest_lines", refuse_line_by_line)
+        assert ingest_trace(tmp_path / "t.jsonl") == trace
 
     def test_three_row_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -609,6 +698,10 @@ class TestDeviceProfile:
         with pytest.raises(ConfigurationError):
             DeviceProfile(name="x", mean_rate=1.0, incoming=((100, 0.0),))
 
+    def test_rejects_weights_whose_total_overflows(self):
+        with pytest.raises(ConfigurationError, match="total a finite number"):
+            DeviceProfile(name="x", mean_rate=1.0, outgoing=((100, 1e308), (116, 1e308)))
+
     def test_rejects_bad_rate(self):
         with pytest.raises(ConfigurationError):
             DeviceProfile(name="x", mean_rate=0.0, incoming=((100, 1.0),))
@@ -668,6 +761,14 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=r"^duration_s must be positive and below 2\*\*63 µs"):
             synthesize_trace(FLAT_PROFILE, 1e15, rng)
         assert rng.getstate() == state
+
+    @given(profile=synthesis_profiles(), duration=st.floats(0.5, 30), seed=st.integers(0, 2**32))
+    def test_matches_expovariate_and_choices(self, profile, duration, seed):
+        inlined, stdlib = random.Random(seed), random.Random(seed)
+        assert synthesize_trace(profile, duration, inlined) == stdlib_synthesize_trace(
+            profile, duration, stdlib
+        )
+        assert inlined.getstate() == stdlib.getstate()
 
     def test_direction_mix(self):
         trace = synthesize_trace(FLAT_PROFILE, 600.0, rng=3)
@@ -790,6 +891,33 @@ class TestPadTrace:
         ceiling = (2**63 - 1) // 8
         out = pad_trace(mk_trace([130, -116, 400, 1582] * 2), ceiling, rng=0)
         assert out.total_bytes == sum(abs(size) for size in out.signed_size.tolist())
+
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.integers(1, 2000), st.sampled_from(["drawn", "full", "one short"]), st.booleans()
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        ceiling=st.sampled_from(["largest frame", 2000, 2048, 2049, 4096]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_randint_body(self, frames, ceiling, seed):
+        # A full frame draws nothing, so full frames and a ceiling equal to
+        # the largest frame must skip their draw exactly as randint's
+        # caller did; a frame one byte short draws from a span of one.
+        if ceiling == "largest frame":
+            ceiling = max(size for size, _, _ in frames)
+        lengths = {"full": ceiling, "one short": max(ceiling - 1, 1)}
+        sizes = [
+            lengths.get(kind, size) * (-1 if outgoing else 1) for size, kind, outgoing in frames
+        ]
+        trace = mk_trace(sizes)
+        inlined, stdlib = random.Random(seed), random.Random(seed)
+        padded = pad_trace(trace, ceiling, inlined).signed_size.tolist()
+        assert padded == randint_pad_trace(trace, ceiling, stdlib)
+        assert inlined.getstate() == stdlib.getstate()
 
     @given(seed=st.integers(0, 2**32))
     def test_padded_sizes_bounded(self, seed):

@@ -14,6 +14,12 @@ is dropped. The file is rewritten after every run, so an interrupted run
 keeps what it measured. It also records ``src_lines``, each side's count of
 non-blank, non-comment lines under ``src/``.
 
+After a workload's pairs, each side makes one more run of it at the first
+seed with ``--trace 1``, parent first. These are listed under ``layer_runs``,
+and ``layers`` compares their per-layer metrics (each the median over that
+run's traced operations) side by side, so that a BENCH file shows where a
+change's time went.
+
     python3 tools/bench_pairs.py --count-lines src
 
 prints that count for one directory and exits; CI reports the same figure.
@@ -106,12 +112,37 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
-def run_once(directory: str, command: list[str], workload: str, seed: int, seconds: float):
+def summarize_layers(runs: list[dict], per_layer: list[dict]) -> dict:
+    """Per workload: for each per-layer metric of BENCHMARK.json that both
+    sides' traced runs measured, each side's value and the change's over the
+    parent's (None where the parent's is 0). A metric both sides read as 0,
+    a layer the workload does not reach, is left out."""
+    summary = {}
+    for workload in sorted({run["workload"] for run in runs}):
+        sides = {run["side"]: run["metrics"] for run in runs if run["workload"] == workload}
+        parent, change = (sides.get(side, {}) for side in SIDES)
+        block = {}
+        for name in (metric["name"] for metric in per_layer):
+            if name not in parent or name not in change or parent[name] == change[name] == 0:
+                continue
+            before, after = parent[name], change[name]
+            block[name] = {
+                "parent": before,
+                "change": after,
+                "change_over_parent": round((after - before) / before, 4) if before else None,
+            }
+        summary[workload] = block
+    return summary
+
+
+def run_once(
+    directory: str, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0
+):
     """One benchmark run in ``directory``: (exit code, parsed result or None,
     last line of output)."""
     args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}"]
     done = subprocess.run(
-        [*args, "--trace", "0"], cwd=directory, capture_output=True, text=True, check=False
+        [*args, "--trace", str(trace)], cwd=directory, capture_output=True, text=True, check=False
     )
     lines = done.stdout.strip().splitlines()
     last = lines[-1] if lines else done.stderr.strip()[-500:]
@@ -172,14 +203,21 @@ def main(argv: list[str] | None = None) -> int:
         "protocol": f"alternating pairs, same seed per pair (seeds {args.first_seed}-{last_seed}); "
         "odd pairs run the parent first, even pairs the change first; "
         f"{args.seconds:g} s runs; parent and change each run from their own directory; "
-        "quartiles by linear interpolation; every run made is listed",
+        "quartiles by linear interpolation; after each workload's pairs, one --trace 1 run "
+        f"per side at seed {args.first_seed}, parent first, for layers; every run made is listed",
         "machine": f"{os.cpu_count()} CPUs, {platform.system()}, "
         f"Python {platform.python_version()}, numpy {numpy}",
         "claim": None,
         "src_lines": {side: count_lines(Path(directories[side]) / "src") for side in SIDES},
         "runs": [],
         "summary": {},
+        "layer_runs": [],
+        "layers": {},
     }
+
+    def save():
+        Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
     for workload in args.workloads:
         for pair in range(1, args.pairs + 1):
             seed = args.first_seed + pair - 1
@@ -190,9 +228,19 @@ def main(argv: list[str] | None = None) -> int:
                 run = record(workload, pair, seed, side, ran, *outcome)
                 doc["runs"].append(run)
                 doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
-                Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+                save()
                 print(f"{workload} pair {pair} {side}: exit {run['exit_code']}, "
                       f"correct {run['correct']}, {run['metrics']}", file=sys.stderr)
+        for side in SIDES:
+            outcome = run_once(
+                directories[side], bench["command"], workload, args.first_seed, args.seconds, 1
+            )
+            run = record(workload, 0, args.first_seed, side, "traced", *outcome)
+            doc["layer_runs"].append(run)
+            doc["layers"] = summarize_layers(doc["layer_runs"], bench["per_layer"])
+            save()
+            print(f"{workload} traced {side}: exit {run['exit_code']}, "
+                  f"correct {run['correct']}", file=sys.stderr)
     return 0
 
 
