@@ -28,11 +28,11 @@ import random
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from math import ceil, isqrt, log
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .profiles import POSITIVE, check_value
 from .rng import derive_seed, make_rng
 from .tracesim import Trace, window_starts, window_us
 
@@ -40,6 +40,8 @@ DEFAULT_VECTOR_LEN = 200
 DEFAULT_WINDOW_S = 30.0
 DEFAULT_TRAIN_FRACTION = 0.7
 DEFAULT_N_TREES = 100
+# The rule for the share of each class's windows that trains the forest.
+TRAIN_FRACTION = (lambda v: 0 < v < 1, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -66,15 +68,6 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
 
 
-def _check_int(name: str, value, low: int) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer (not
-    a bool) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
-
-
 def check_attack_parameters(
     window_s: float = DEFAULT_WINDOW_S,
     vector_len: int = DEFAULT_VECTOR_LEN,
@@ -83,15 +76,13 @@ def check_attack_parameters(
     max_depth: int | None = None,
 ) -> int:
     """The one check of the attack's parameters, which a caller can also run
-    before it reads any trace. Raise ValueError naming the first bad one;
-    return the window width in microseconds."""
+    before it reads any trace. Raise ConfigurationError naming the first bad
+    one; return the window width in microseconds."""
     width = window_us(window_s)
-    _check_int("vector_len", vector_len, 1)
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must be strictly between 0 and 1")
-    _check_int("n_trees", n_trees, 1)
-    if max_depth is not None:
-        _check_int("max_depth", max_depth, 1)
+    check_value(vector_len, "vector_len", int, POSITIVE)
+    check_value(train_fraction, "train_fraction", float, TRAIN_FRACTION)
+    check_value(n_trees, "n_trees", int, POSITIVE)
+    check_value(max_depth, "max_depth", int | None, POSITIVE)
     return width
 
 
@@ -550,10 +541,9 @@ def train_forest(
     elif isinstance(max_features, str):
         raise ValueError(f"max_features must be 'sqrt', an int or None, got {max_features!r}")
     else:
-        _check_int("max_features", max_features, 1)
-        if max_features > n_features:
+        n_candidates = check_value(max_features, "max_features", int, POSITIVE)
+        if n_candidates > n_features:
             raise ValueError(f"max_features must be <= {n_features} features, got {max_features}")
-        n_candidates = int(max_features)
     if n_candidates == n_features:
         n_candidates = None  # every feature, with no draw
     labels = tuple(sorted({v.label for v in train}))

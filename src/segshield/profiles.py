@@ -20,10 +20,51 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import get_args
 
 from .errors import ConfigurationError
 from .segcore import LevelBand, SegmentationConfig
+
+# The shared rules of a scalar value, checked by check_value.
+POSITIVE = (lambda v: v > 0, "positive")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+
+
+def check_value(value, path: str, kind, rule=None):
+    """Return ``value`` if it has type ``kind`` (a JSON type, ``kind | None``
+    to also allow null, or a tuple of kinds for a fixed-length row) and
+    passes ``rule``, a (predicate, description) pair. A float is any finite
+    real number and an int any integer, neither a bool, and each comes back
+    as its kind; a list may be a tuple. Raise ConfigurationError naming
+    ``path`` otherwise."""
+    if isinstance(kind, types.UnionType):
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if isinstance(kind, tuple):  # a fixed-length row
+        check_value(value, path, list, (lambda v: len(v) == len(kind), f"{len(kind)} long"))
+        return tuple(check_value(v, f"{path}[{j}]", k) for j, (v, k) in enumerate(zip(value, kind)))
+    if kind is float or kind is int:
+        ok = isinstance(value, Real if kind is float else Integral) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (list, tuple) if kind is list else kind)
+    if not ok:
+        raise ConfigurationError(f"{path}: expected {kind.__name__}, got {value!r}")
+    checked = value
+    if kind is int:
+        checked = int(value)
+    elif kind is float:
+        try:
+            checked = float(value)
+        except OverflowError:  # an int beyond the float range
+            checked = math.inf
+        if not math.isfinite(checked):
+            raise ConfigurationError(f"{path}: must be finite, got {value!r}")
+    if rule is not None and not rule[0](checked):
+        raise ConfigurationError(f"{path}: must be {rule[1]}, got {value!r}")
+    return checked
+
 
 DEFAULT_SEGMENTATION_PROFILE = "low-bandwidth"
 
@@ -93,8 +134,7 @@ class DeviceProfile:
             "mode_schedule",
             tuple((float(a), float(b), float(m)) for a, b, m in self.mode_schedule),
         )
-        if self.mean_rate <= 0:
-            raise ConfigurationError("mean_rate must be positive")
+        check_value(self.mean_rate, "mean_rate", float, POSITIVE)
         if not self.incoming and not self.outgoing:
             raise ConfigurationError("profile needs at least one size distribution")
         for length, weight in (*self.incoming, *self.outgoing):
@@ -107,7 +147,7 @@ class DeviceProfile:
             if not math.isfinite(sum(w for _, w in pairs)):
                 raise ConfigurationError("each direction's weights must total a finite number")
         for start, end, mult in self.mode_schedule:
-            if end <= start or mult < 0:
+            if not (start < end and 0 <= mult < math.inf):
                 raise ConfigurationError("bad mode_schedule entry")
 
     def rate_at(self, t: float) -> float:
@@ -150,36 +190,6 @@ def device_profile_names() -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # config entries
-
-POSITIVE = (lambda v: v > 0, "positive")
-NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
-
-
-def check_value(value, path: str, kind, rule=None):
-    """Return ``value`` if it has type ``kind`` (a JSON type, ``kind | None``
-    to also allow null, or a tuple of kinds for a fixed-length row) and
-    passes ``rule``, a (predicate, description) pair. Numbers come back as
-    float; a list may be a tuple. Raise ConfigurationError naming ``path``
-    otherwise."""
-    if isinstance(kind, types.UnionType):
-        if value is None:
-            return None
-        kind = get_args(kind)[0]
-    if isinstance(kind, tuple):  # a fixed-length row
-        check_value(value, path, list, (lambda v: len(v) == len(kind), f"{len(kind)} long"))
-        return tuple(check_value(v, f"{path}[{j}]", k) for j, (v, k) in enumerate(zip(value, kind)))
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and math.isfinite(value)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, (list, tuple) if kind is list else kind)
-    if not ok:
-        raise ConfigurationError(f"{path}: expected {kind.__name__}, got {value!r}")
-    if rule is not None and not rule[0](value):
-        raise ConfigurationError(f"{path}: must be {rule[1]}, got {value!r}")
-    return float(value) if kind is float else value
 
 
 def check_object(obj, path: str, schema: dict, required=()) -> dict:

@@ -118,20 +118,7 @@ _DEVICES = (list, (lambda v: len(v) >= 2, "two or more entries"))
 # The device name of each overhead table's totals row, so no device's own.
 _TOTAL = "total"
 _TRACES = (list, tracesim.TRACE_PATHS)
-_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
-
-
-def _cuts_windows(window_s: float) -> bool:
-    """Whether traces can be cut into windows this long (tracesim.window_us)."""
-    try:
-        window_us(window_s)
-    except ValueError:
-        return False
-    return True
-
-
-_WINDOW = (_cuts_windows, "at least 1 µs and below 2**63 µs once rounded to whole microseconds")
-_COVER_KEYS = {"enabled": bool, "reference": str | None, "window_s": (float, _WINDOW)}
+_COVER_KEYS = {"enabled": bool, "reference": str | None, "window_s": (float, tracesim.WINDOW)}
 
 
 def _key(default, kind, rule):
@@ -153,9 +140,11 @@ class ExperimentConfig:
     traces: tuple[str, ...] = ()
     seed: int = _key(0, int, NON_NEGATIVE)
     duration_s: float = _key(tracesim.DEFAULT_DURATION_S, float, tracesim.DURATION)
-    window_s: float = _key(attackeval.DEFAULT_WINDOW_S, float, _WINDOW)
+    window_s: float = _key(attackeval.DEFAULT_WINDOW_S, float, tracesim.WINDOW)
     vector_len: int = _key(attackeval.DEFAULT_VECTOR_LEN, int, POSITIVE)
-    train_fraction: float = _key(attackeval.DEFAULT_TRAIN_FRACTION, float, _UNIT)
+    train_fraction: float = _key(
+        attackeval.DEFAULT_TRAIN_FRACTION, float, attackeval.TRAIN_FRACTION
+    )
     n_trees: int = _key(attackeval.DEFAULT_N_TREES, int, POSITIVE)
     max_depth: int | None = _key(None, int | None, POSITIVE)
     time_overhead: float = _key(tracesim.DEFAULT_TIME_OVERHEAD, float, NON_NEGATIVE)

@@ -13,9 +13,12 @@ Seedable = random.Random | int
 
 
 def make_rng(source: Seedable) -> random.Random:
-    """Return ``source`` itself if it is already a generator, else seed one."""
+    """Return ``source`` itself if it is already a generator, else seed one
+    from it; raise TypeError unless it is a generator or an int (not a bool)."""
     if isinstance(source, random.Random):
         return source
+    if isinstance(source, bool) or not isinstance(source, int):
+        raise TypeError(f"rng must be a random.Random or an int seed, got {source!r}")
     return random.Random(source)
 
 

@@ -314,10 +314,8 @@ def run_transfer_benchmark(
     `receiver_recv_buffer` and `receiver_pause_s` configure the consumer
     side; a small buffer plus a nonzero pause emulates a slow peer whose
     backpressure makes sender buffer sizing measurable."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if file_bytes < 1:
-        raise ValueError("file_bytes must be >= 1")
+    check_value(repetitions, "repetitions", int, POSITIVE)
+    check_value(file_bytes, "file_bytes", int, POSITIVE)
     rx_buffer = receiver_recv_buffer or (tuning or SocketTuning()).receive_buffer_bytes
     runs: list[TransferStats] = []
     for rep in range(repetitions):

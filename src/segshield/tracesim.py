@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, TraceFormatError, TraceRecordError
-from .profiles import DeviceProfile
+from .profiles import NON_NEGATIVE, DeviceProfile, check_value
 from .rng import make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, segment_lengths
 
@@ -33,18 +33,17 @@ DEFAULT_DURATION_S = 3600.0
 DEFAULT_TIME_OVERHEAD = 0.2
 
 
+# The rule for a window length in seconds: round(v * 1e6) is in [1, 2**63).
+WINDOW = (
+    lambda v: 0.5 < v * 1e6 < 2**63,
+    "at least 1 µs and below 2**63 µs once rounded to whole microseconds",
+)
+
+
 def window_us(window_s: float) -> int:
     """A window length in whole microseconds, the unit traces are cut in.
-    Raise ValueError unless it is finite, at least 1 and below 2**63."""
-    if not math.isfinite(window_s):
-        raise ValueError(f"window_s must be finite, got {window_s!r}")
-    us = round(window_s * 1e6)
-    if not 1 <= us < 2**63:
-        raise ValueError(
-            "window_s must be at least 1 µs and below 2**63 µs once rounded to whole "
-            f"microseconds, got {window_s!r}"
-        )
-    return us
+    Raise ConfigurationError naming window_s unless it passes WINDOW."""
+    return round(check_value(window_s, "window_s", float, WINDOW) * 1e6)
 
 
 _COLUMN_TYPES = {"timestamp_us": np.int64, "signed_size": np.int64, "covered": np.bool_}
@@ -91,8 +90,7 @@ class Trace:
             column = column.astype(dtype, copy=False)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if self.header_bytes < 0:
-            raise ValueError("header_bytes must be >= 0")
+        check_value(self.header_bytes, "header_bytes", int, NON_NEGATIVE)
         lengths = {name: len(getattr(self, name)) for name in _COLUMN_TYPES}
         if len(set(lengths.values())) > 1:
             raise TraceRecordError(f"columns differ in length {lengths}", min(lengths.values()))
@@ -446,10 +444,7 @@ def synthesize_trace(
     against the schedule's peak rate); sizes and directions from the
     weighted per-direction distributions.
     """
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
-    if not DURATION[0](duration_s):
-        raise ValueError(f"duration_s must be {DURATION[1]}, got {duration_s!r}")
+    duration_s = check_value(duration_s, "duration_s", float, DURATION)
     random_ = make_rng(rng).random
 
     # rng.choices(sizes, weights)[0] as CPython's random.Random draws it: one
@@ -461,9 +456,7 @@ def synthesize_trace(
         total = running[-1] + 0.0 if running else 0.0
         tables.append(([l for l, _ in pairs], running, total, len(running) - 1))
     (in_sizes, in_running, in_total, in_last), (out_sizes, out_running, out_total, out_last) = tables
-    p_out = sum(w for _, w in profile.outgoing) / (
-        sum(w for _, w in profile.incoming) + sum(w for _, w in profile.outgoing)
-    )
+    p_out = out_total / (in_total + out_total)
 
     peak = profile.mean_rate * max([1.0, *(m for _, _, m in profile.mode_schedule)])
     rate_at = profile.rate_at
@@ -495,8 +488,7 @@ def synthesize_trace(
 def check_time_overhead(trace: Trace, time_overhead: float) -> None:
     """Raise ValueError naming time_overhead unless it is finite, at least 0
     and dilates ``trace``'s last timestamp to one that fits in 64 bits."""
-    if not (math.isfinite(time_overhead) and time_overhead >= 0):
-        raise ValueError(f"time_overhead: must be finite and >= 0, got {time_overhead!r}")
+    time_overhead = check_value(time_overhead, "time_overhead", float, NON_NEGATIVE)
     # The float product obfuscate_trace rounds: below 2**63 it fits an int64.
     if trace.duration_us * (1.0 + time_overhead) >= 2**63:
         raise ValueError(
@@ -644,7 +636,7 @@ def inject_cover_traffic(
     target: Trace,
     reference: Trace,
     window_s: float,
-    seed: int,
+    rng: random.Random | int,
 ) -> CoverResult:
     """Add flagged cover packets to ``target`` until its per-window byte
     volume matches ``reference``'s (within one packet, and only upward).
@@ -653,12 +645,9 @@ def inject_cover_traffic(
     so the filler does not import the reference's size fingerprint.
 
     For each cover packet the draws are ``randrange(len(target))`` for the
-    record to copy, then ``randrange(width)`` for the offset in the window,
-    from one ``random.Random(seed)``. ``seed`` must be an int (TypeError
-    otherwise).
+    record to copy, then ``randrange(width)`` for the offset in the window.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    getrandbits = make_rng(rng).getrandbits
     width = window_us(window_s)
     target_volumes = _window_volumes(target, width)
     deficits = [
@@ -673,7 +662,6 @@ def inject_cover_traffic(
 
     # randrange(n) as CPython's random.Random draws it: getrandbits(k) until
     # the value is below n. Inlined, it costs no Python frame.
-    getrandbits = random.Random(seed).getrandbits
     pool, sizes = len(target), np.abs(target.signed_size).tolist()
     pick_bits, offset_bits = pool.bit_length(), width.bit_length()
     picks = array("q")  # 8 bytes an entry; a cover trace can hold millions

@@ -328,7 +328,7 @@ class TestExtractWindows:
 
     @pytest.mark.parametrize("window_s", [math.inf, -math.inf, math.nan])
     def test_rejects_window_that_is_not_finite(self, window_s):
-        with pytest.raises(ValueError, match="^window_s must be finite"):
+        with pytest.raises(ValueError, match="^window_s: must be finite"):
             extract_windows(mk_trace([(0, 130)]), window_s)
 
 

@@ -8,10 +8,18 @@ from pathlib import Path
 import pytest
 
 import segshield
+from segshield.attackeval import FeatureVector, extract_windows, split_dataset, train_forest
 from segshield.cli import main_attackeval, main_segshield, main_shaper, main_tracesim
-from segshield.profiles import device_profile_names, segmentation_profile_names
+from segshield.errors import ConfigurationError
+from segshield.profiles import (
+    device_profile,
+    device_profile_names,
+    segmentation_profile,
+    segmentation_profile_names,
+)
+from segshield.report import ExperimentConfig
 from segshield.shaper import bound_port
-from segshield.tracesim import ingest_trace
+from segshield.tracesim import Trace, ingest_trace, obfuscate_trace, synthesize_trace
 
 
 @pytest.fixture
@@ -208,6 +216,62 @@ def test_flag_checked_before_the_input_is_read(tmp_path, capsys, main, argv, fla
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}:") and "Traceback" not in err
     assert "nonexistent" not in err
+
+
+TRACE = Trace([0, 1], [130, -130], [False, False], "dev")
+TRAIN = [FeatureVector((1,), "a"), FeatureVector((2,), "b")]
+WINDOW_RULE = "at least 1 µs and below 2**63 µs once rounded to whole microseconds"
+DURATION_RULE = "positive and below 2**63 µs (about 9.2e12 s)"
+
+
+@pytest.mark.parametrize(
+    "key,value,rule,argv,cli_name,library",
+    [
+        ("window_s", 0.0, WINDOW_RULE, ["run", "--window"], "window_s",
+         lambda v: extract_windows(TRACE, v)),
+        ("vector_len", 0, "positive", ["run", "--veclen"], "vector_len",
+         lambda v: extract_windows(TRACE, 30.0, v)),
+        ("train_fraction", 1.5, "in (0, 1)", ["run", "--train-fraction"], "train_fraction",
+         lambda v: split_dataset(TRAIN, v)),
+        ("n_trees", 0, "positive", ["run", "--trees"], "n_trees",
+         lambda v: train_forest(TRAIN, v)),
+        ("max_depth", 0, "positive", ["run", "--max-depth"], "max_depth",
+         lambda v: train_forest(TRAIN, 1, v)),
+        ("duration_s", -1.0, DURATION_RULE, ["synth", "--duration"], "--duration",
+         lambda v: synthesize_trace(device_profile("bulb-like"), v, 0)),
+        ("time_overhead", -1.0, "non-negative", ["obfuscate", "--time-overhead"],
+         "--time-overhead",
+         lambda v: obfuscate_trace(TRACE, segmentation_profile("low-bandwidth"), v, 0)),
+        ("header_bytes", -5, "non-negative", ["obfuscate", "--header-bytes"], "--header-bytes",
+         lambda v: Trace([0], [130], [False], "dev", v)),
+    ],
+)
+def test_each_shared_rule_is_written_once(
+    tmp_path, capsys, key, value, rule, argv, cli_name, library
+):
+    # The same bad value fails the experiment config, the CLI flag and the
+    # library argument with the same rule text, each naming what it was given.
+    def message(name):
+        return f"{name}: must be {rule}, got {value!r}"
+
+    with pytest.raises(ConfigurationError) as config_error:
+        ExperimentConfig.from_dict({"devices": ["bulb-like", "plug-like"], key: value})
+    assert str(config_error.value) == message(key)
+
+    command, flag = argv
+    missing = str(tmp_path / "nonexistent.jsonl")
+    if command == "run":
+        main, inputs = main_attackeval, ["--traces", missing, missing]
+    else:
+        main = main_tracesim
+        inputs = ["--profile", "bulb-like"] if command == "synth" else ["--in", missing]
+    out = str(tmp_path / "out.jsonl")
+    assert main([command, *inputs, flag, str(value), "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message(cli_name)}\n"
+
+    with pytest.raises(ConfigurationError) as library_error:
+        library(value)
+    assert str(library_error.value) == message(key)
 
 
 def refuse_socket(*args, **kwargs):

@@ -319,6 +319,9 @@ class TestExperimentConfig:
             ({"segmentation": {**FULL_SEGMENTATION, "mss": 1460}}, "segmentation.mss"),
             ({"segmentation": {**FULL_SEGMENTATION, "mtu": 1500}}, "segmentation.mtu"),
             ({"duration_s": 1e15}, "duration_s"),
+            # Beyond the float range: no OverflowError escapes the check.
+            ({"window_s": 1e303}, "window_s"),
+            ({"duration_s": 10**400}, "duration_s"),
         ],
     )
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, change, path):

@@ -242,6 +242,12 @@ class TestRecordAndTrace:
         with pytest.raises(ValueError, match="record 1: timestamp_us 50"):
             Trace([100, 50], [60, 60], [False, False], "d")
 
+    @pytest.mark.parametrize("header_bytes", [1.5, True])
+    def test_header_bytes_that_is_not_an_int_rejected(self, header_bytes):
+        expected = f"^header_bytes: expected int, got {header_bytes}$"
+        with pytest.raises(ConfigurationError, match=expected):
+            Trace([0], [130], [False], "d", header_bytes)
+
     def test_sizes_total_below_2_63(self):
         assert Trace([0, 1], [2**62, 1 - 2**62], [False, False], "d").total_bytes == 2**63 - 1
         with pytest.raises(TraceRecordError, match=f"^record 1: sizes total {2**63} bytes here"):
@@ -702,9 +708,20 @@ class TestDeviceProfile:
         with pytest.raises(ConfigurationError, match="total a finite number"):
             DeviceProfile(name="x", mean_rate=1.0, outgoing=((100, 1e308), (116, 1e308)))
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ConfigurationError):
-            DeviceProfile(name="x", mean_rate=0.0, incoming=((100, 1.0),))
+    # An infinite or NaN rate would never end the synthesis loop.
+    @pytest.mark.parametrize("rate", [0.0, math.inf, math.nan])
+    def test_rejects_bad_rate(self, rate):
+        with pytest.raises(ConfigurationError, match="mean_rate"):
+            DeviceProfile(name="x", mean_rate=rate, incoming=((100, 1.0),))
+
+    # An infinite multiplier would never end the synthesis loop.
+    @pytest.mark.parametrize(
+        "entry",
+        [(20.0, 10.0, 3.0), (10.0, 20.0, -1.0), (10.0, 20.0, math.inf), (math.nan, 20.0, 3.0)],
+    )
+    def test_rejects_bad_schedule_entry(self, entry):
+        with pytest.raises(ConfigurationError, match="bad mode_schedule entry"):
+            DeviceProfile(name="x", mean_rate=1.0, incoming=((100, 1.0),), mode_schedule=(entry,))
 
     def test_schedule_scales_rate(self):
         profile = DeviceProfile(
@@ -752,13 +769,13 @@ class TestSynthesize:
         )
         assert done.returncode == 1
         assert done.stderr.rstrip().endswith(
-            f"ValueError: duration_s must be positive and finite, got {duration}"
+            f"ConfigurationError: duration_s: must be finite, got {duration}"
         )
 
     def test_rejects_duration_beyond_64_bits_before_any_draw(self):
         rng = random.Random(0)
         state = rng.getstate()
-        with pytest.raises(ValueError, match=r"^duration_s must be positive and below 2\*\*63 µs"):
+        with pytest.raises(ValueError, match=r"^duration_s: must be positive and below 2\*\*63 µs"):
             synthesize_trace(FLAT_PROFILE, 1e15, rng)
         assert rng.getstate() == state
 
@@ -931,7 +948,7 @@ class TestPadTrace:
 class TestCoverTraffic:
     def test_reference_equal_to_target_needs_no_cover(self):
         trace = mk_trace([130, -116] * 50)
-        result = inject_cover_traffic(trace, trace, window_s=30, seed=0)
+        result = inject_cover_traffic(trace, trace, window_s=30, rng=0)
         assert result.cover_bytes == 0
         assert result.trace == trace
 
@@ -942,7 +959,7 @@ class TestCoverTraffic:
             [rng.choice([400, 482, -360]) for _ in range(400)], step_us=70_000
         )
         window_us = 10 * 10**6
-        result = inject_cover_traffic(low, high, window_s=10, seed=7)
+        result = inject_cover_traffic(low, high, window_s=10, rng=7)
         max_packet = int(np.abs(low.signed_size).max())
 
         def volumes(trace):
@@ -963,34 +980,34 @@ class TestCoverTraffic:
     def test_strip_restores_input_exactly(self):
         low = mk_trace([130] * 20, step_us=1_000_000)
         high = mk_trace([400] * 200, step_us=100_000)
-        result = inject_cover_traffic(low, high, window_s=5, seed=3)
+        result = inject_cover_traffic(low, high, window_s=5, rng=3)
         assert result.cover_bytes > 0
         assert result.trace.without_cover() == low
 
     def test_cover_sizes_come_from_target(self):
         low = mk_trace([130, -134] * 10, step_us=1_000_000)
         high = mk_trace([997] * 200, step_us=100_000)
-        result = inject_cover_traffic(low, high, window_s=5, seed=9)
+        result = inject_cover_traffic(low, high, window_s=5, rng=9)
         cover_sizes = set(np.abs(result.trace.signed_size[result.trace.covered]).tolist())
         assert cover_sizes <= {130, 134}
 
     def test_asymmetric_volume_asymmetric_cover(self):
         quiet = mk_trace([130] * 30, step_us=1_000_000, device="quiet")
         busy = mk_trace([482] * 600, step_us=50_000, device="busy")
-        quiet_cover = inject_cover_traffic(quiet, busy, 10, seed=1)
-        busy_cover = inject_cover_traffic(busy, quiet, 10, seed=1)
+        quiet_cover = inject_cover_traffic(quiet, busy, 10, rng=1)
+        busy_cover = inject_cover_traffic(busy, quiet, 10, rng=1)
         assert busy_cover.cover_bytes == 0
         assert quiet_cover.cover_fraction > 10 * busy_cover.cover_fraction
 
     def test_zero_window_rejected(self):
         trace = mk_trace([130])
         with pytest.raises(ValueError):
-            inject_cover_traffic(trace, trace, window_s=0, seed=0)
+            inject_cover_traffic(trace, trace, window_s=0, rng=0)
 
     def test_window_below_one_microsecond_rejected(self):
         trace = mk_trace([130])
         with pytest.raises(ValueError, match="window_s"):
-            inject_cover_traffic(trace, trace, window_s=1e-7, seed=0)
+            inject_cover_traffic(trace, trace, window_s=1e-7, rng=0)
 
     @given(
         target=small_traces(min_size=1),
@@ -1001,7 +1018,7 @@ class TestCoverTraffic:
     def test_matches_bucket_loop(self, target, reference, width, seed):
         for trace in (target, reference):
             assert _window_volumes(trace, width) == bucket_volumes(trace, width)
-        result = inject_cover_traffic(target, reference, width / 1e6, seed=seed)
+        result = inject_cover_traffic(target, reference, width / 1e6, rng=seed)
         expected, cover_bytes = bucket_cover(target, reference, width, random.Random(seed))
         assert result.trace == expected
         assert result.cover_bytes == cover_bytes
@@ -1020,7 +1037,7 @@ class TestCoverTraffic:
         target, reference = (
             replace(trace, timestamp_us=trace.timestamp_us * stretch) for trace in (target, reference)
         )
-        result = inject_cover_traffic(target, reference, window_s, seed=seed)
+        result = inject_cover_traffic(target, reference, window_s, rng=seed)
         expected, cover_bytes = bucket_cover(
             target, reference, window_us(window_s), random.Random(seed)
         )
@@ -1051,27 +1068,34 @@ class TestCoverTraffic:
         drawn = sum(requested)
         assert read == drawn
 
-    @pytest.mark.parametrize("method", ["random", "getrandbits", "randrange", "_randbelow"])
-    def test_generator_that_draws_differently_is_rejected(self, method):
-        own = type("Own", (random.Random,), {method: lambda self, *args: 0})
+    @given(seed=st.integers(0, 2**32))
+    def test_generator_gives_the_cover_of_its_seed(self, seed):
         low = mk_trace([130] * 5, step_us=1_000_000)
         high = mk_trace([400] * 50, step_us=100_000)
-        with pytest.raises(TypeError, match="seed must be an int, got Own"):
-            inject_cover_traffic(low, high, window_s=5, seed=own(1))
+        from_generator = inject_cover_traffic(low, high, 5, random.Random(seed))
+        assert from_generator.trace == inject_cover_traffic(low, high, 5, seed).trace
 
-    @pytest.mark.parametrize("seed", [random.Random(1), True, 1.0, "1"])
-    def test_seed_that_is_not_an_int_is_rejected(self, seed):
-        low = mk_trace([130] * 5, step_us=1_000_000)
-        high = mk_trace([400] * 50, step_us=100_000)
-        with pytest.raises(TypeError, match=f"seed must be an int, got {type(seed).__name__}"):
-            inject_cover_traffic(low, high, window_s=5, seed=seed)
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    @pytest.mark.parametrize("stage", ["synthesize", "obfuscate", "pad", "cover"])
+    def test_seed_that_is_not_an_int_is_rejected_by_every_stage(self, stage, seed):
+        trace = mk_trace([130] * 5, step_us=1_000_000)
+        config = SegmentationConfig(prob=1.0, bands=(LevelBand(5, 20),))
+        run = {
+            "synthesize": lambda: synthesize_trace(FLAT_PROFILE, 10.0, seed),
+            "obfuscate": lambda: obfuscate_trace(trace, config, 0.2, seed),
+            "pad": lambda: pad_trace(trace, 1582, seed),
+            "cover": lambda: inject_cover_traffic(trace, trace, 5, seed),
+        }[stage]
+        expected = f"^rng must be a random.Random or an int seed, got {seed!r}$"
+        with pytest.raises(TypeError, match=expected):
+            run()
 
     def test_timestamps_beyond_64_bits_rejected(self):
         # Window 1 of 5e18 µs ends past 2**63 µs.
         low = mk_trace([130])
         high = Trace([0, 5 * 10**18 + 1], [400, 400], [False, False], "high")
         with pytest.raises(ValueError, match="beyond 64 bits"):
-            inject_cover_traffic(low, high, window_s=5e12, seed=0)
+            inject_cover_traffic(low, high, window_s=5e12, rng=0)
 
     @given(
         target=small_traces(min_size=1),
@@ -1083,15 +1107,15 @@ class TestCoverTraffic:
         profile = window_profile(reference, width)
         assert _window_volumes(profile, width) == _window_volumes(reference, width)
         assert profile.device == reference.device and not profile.covered.any()
-        result = inject_cover_traffic(target, profile, width / 1e6, seed=seed)
-        expected = inject_cover_traffic(target, reference, width / 1e6, seed=seed)
+        result = inject_cover_traffic(target, profile, width / 1e6, rng=seed)
+        expected = inject_cover_traffic(target, reference, width / 1e6, rng=seed)
         assert result.trace == expected.trace
         assert result.cover_bytes == expected.cover_bytes
 
     def test_cover_flag_metadata_only(self):
         low = mk_trace([130] * 5, step_us=1_000_000)
         high = mk_trace([400] * 50, step_us=100_000)
-        result = inject_cover_traffic(low, high, window_s=5, seed=2)
+        result = inject_cover_traffic(low, high, window_s=5, rng=2)
         original = as_rows(low)
         assert all(row[2] for row in as_rows(result.trace) if row not in original)
         assert result.original_bytes == low.total_bytes
