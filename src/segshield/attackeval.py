@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .profiles import POSITIVE, check_value
+from .errors import POSITIVE, check_value
 from .rng import derive_seed, make_rng
 from .tracesim import Trace, window_starts, window_us
 

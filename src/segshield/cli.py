@@ -9,8 +9,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import profiles, shaper
-from .errors import ConfigurationError, SegShieldError
-from .profiles import NON_NEGATIVE, POSITIVE, check_value, resolve_device, resolve_segmentation
+from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, SegShieldError, check_value
+from .profiles import resolve_device, resolve_segmentation
+from .segcore import PROBABILITY
 from .shaper import SocketTuning, mean_wall_time, run_receiver, send_seeded_payload
 
 # The offline stack (report, attackeval, tracesim) loads numpy, so each command
@@ -32,6 +33,7 @@ def _preset_or_json(arg: str, preset_names) -> str | dict:
 
 def _segmentation_flags(args):
     """The config that --profile (a preset name or JSON path) and --prob name."""
+    check_value(args.prob, "--prob", float | None, PROBABILITY)
     spec = _preset_or_json(args.profile, profiles.segmentation_profile_names())
     config = resolve_segmentation(spec, "--profile")
     return config if args.prob is None else replace(config, prob=args.prob)

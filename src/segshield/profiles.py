@@ -18,53 +18,10 @@ the typed value; their errors name the key path of the offending value.
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
-from typing import get_args
 
-from .errors import ConfigurationError
+from .errors import POSITIVE, ConfigurationError, build, check_fields, check_object, check_value, rule
 from .segcore import LevelBand, SegmentationConfig
-
-# The shared rules of a scalar value, checked by check_value.
-POSITIVE = (lambda v: v > 0, "positive")
-NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
-
-
-def check_value(value, path: str, kind, rule=None):
-    """Return ``value`` if it has type ``kind`` (a JSON type, ``kind | None``
-    to also allow null, or a tuple of kinds for a fixed-length row) and
-    passes ``rule``, a (predicate, description) pair. A float is any finite
-    real number and an int any integer, neither a bool, and each comes back
-    as its kind; a list may be a tuple. Raise ConfigurationError naming
-    ``path`` otherwise."""
-    if isinstance(kind, types.UnionType):
-        if value is None:
-            return None
-        kind = get_args(kind)[0]
-    if isinstance(kind, tuple):  # a fixed-length row
-        check_value(value, path, list, (lambda v: len(v) == len(kind), f"{len(kind)} long"))
-        return tuple(check_value(v, f"{path}[{j}]", k) for j, (v, k) in enumerate(zip(value, kind)))
-    if kind is float or kind is int:
-        ok = isinstance(value, Real if kind is float else Integral) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, (list, tuple) if kind is list else kind)
-    if not ok:
-        raise ConfigurationError(f"{path}: expected {kind.__name__}, got {value!r}")
-    checked = value
-    if kind is int:
-        checked = int(value)
-    elif kind is float:
-        try:
-            checked = float(value)
-        except OverflowError:  # an int beyond the float range
-            checked = math.inf
-        if not math.isfinite(checked):
-            raise ConfigurationError(f"{path}: must be finite, got {value!r}")
-    if rule is not None and not rule[0](checked):
-        raise ConfigurationError(f"{path}: must be {rule[1]}, got {value!r}")
-    return checked
-
 
 DEFAULT_SEGMENTATION_PROFILE = "low-bandwidth"
 
@@ -120,34 +77,27 @@ class DeviceProfile:
     (start_s, end_s, multiplier) scale the rate inside their interval.
     """
 
-    name: str
-    mean_rate: float
-    incoming: tuple[tuple[int, float], ...] = ()
-    outgoing: tuple[tuple[int, float], ...] = ()
-    mode_schedule: tuple[tuple[float, float, float], ...] = ()
+    name: str = rule(str)
+    mean_rate: float = rule(float, POSITIVE)
+    incoming: tuple[tuple[int, float], ...] = rule([(int, float)], default=())
+    outgoing: tuple[tuple[int, float], ...] = rule([(int, float)], default=())
+    mode_schedule: tuple[tuple[float, float, float], ...] = rule([(float,) * 3], default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "incoming", tuple((int(l), float(w)) for l, w in self.incoming))
-        object.__setattr__(self, "outgoing", tuple((int(l), float(w)) for l, w in self.outgoing))
-        object.__setattr__(
-            self,
-            "mode_schedule",
-            tuple((float(a), float(b), float(m)) for a, b, m in self.mode_schedule),
-        )
-        check_value(self.mean_rate, "mean_rate", float, POSITIVE)
+        check_fields(self)
         if not self.incoming and not self.outgoing:
             raise ConfigurationError("profile needs at least one size distribution")
         for length, weight in (*self.incoming, *self.outgoing):
             if length < 1:
                 raise ConfigurationError("frame lengths must be >= 1")
-            if not (weight > 0 and math.isfinite(weight)):
-                raise ConfigurationError("weights must be positive and finite")
+            if weight <= 0:
+                raise ConfigurationError("weights must be positive")
         # Synthesis scales a uniform draw by each direction's weight total.
         for pairs in (self.incoming, self.outgoing):
             if not math.isfinite(sum(w for _, w in pairs)):
                 raise ConfigurationError("each direction's weights must total a finite number")
         for start, end, mult in self.mode_schedule:
-            if not (start < end and 0 <= mult < math.inf):
+            if not (start < end and mult >= 0):
                 raise ConfigurationError("bad mode_schedule entry")
 
     def rate_at(self, t: float) -> float:
@@ -192,39 +142,8 @@ def device_profile_names() -> tuple[str, ...]:
 # config entries
 
 
-def check_object(obj, path: str, schema: dict, required=()) -> dict:
-    """Check an object against ``schema`` ({key: kind or (kind, rule)}) and
-    return its checked values; an empty ``path`` is the config root."""
-    check_value(obj, path or "config", dict)
-    prefix = f"{path}." if path else ""
-    for key in required:
-        if key not in obj:
-            raise ConfigurationError(f"{prefix}{key}: required")
-    values = {}
-    for key, value in obj.items():
-        if key not in schema:
-            known = ", ".join(sorted(schema))
-            raise ConfigurationError(f"{prefix}{key}: unknown key (known: {known})")
-        kind, rule = schema[key] if isinstance(schema[key], tuple) else (schema[key], None)
-        values[key] = check_value(value, prefix + key, kind, rule)
-    return values
-
-
-def _build(path: str, make, *args, **kwargs):
-    """Call a constructor; its own range errors gain the key path."""
-    try:
-        return make(*args, **kwargs)
-    except (ConfigurationError, KeyError) as exc:
-        raise ConfigurationError(f"{path}: {exc.args[0]}") from None
-
-
 _SEGMENTATION_PRESET_KEYS = {"profile": str, "prob": float | None}
-_SEGMENTATION_KEYS = {"prob": float, "bands": list}
-_BAND_KEYS = {"min_seg": int, "max_seg": int, "upper_threshold": int | None}
 _DEVICE_PRESET_KEYS = {"profile": str, "mean_rate": float | None}
-# Full device objects: the list keys hold rows of these kinds.
-_DEVICE_ROWS = {"incoming": (int, float), "outgoing": (int, float), "mode_schedule": (float,) * 3}
-_DEVICE_KEYS = {"name": str, "mean_rate": float, **dict.fromkeys(_DEVICE_ROWS, list)}
 
 
 def resolve_segmentation(spec, path: str = "segmentation") -> SegmentationConfig:
@@ -234,14 +153,8 @@ def resolve_segmentation(spec, path: str = "segmentation") -> SegmentationConfig
         spec = {"profile": spec}
     if isinstance(spec, dict) and "profile" in spec:
         values = check_object(spec, path, _SEGMENTATION_PRESET_KEYS)
-        return _build(path, segmentation_profile, values.pop("profile"), **values)
-    values = check_object(spec, path, _SEGMENTATION_KEYS, required=("prob", "bands"))
-    bands = []
-    for i, band in enumerate(values["bands"]):
-        where = f"{path}.bands[{i}]"
-        checked = check_object(band, where, _BAND_KEYS, required=("min_seg", "max_seg"))
-        bands.append(_build(where, LevelBand, **checked))
-    return _build(path, SegmentationConfig, values["prob"], bands)
+        return build(path, segmentation_profile, values.pop("profile"), **values)
+    return check_value(spec, path, SegmentationConfig)
 
 
 def resolve_device(spec, path: str = "device") -> DeviceProfile:
@@ -251,9 +164,5 @@ def resolve_device(spec, path: str = "device") -> DeviceProfile:
         spec = {"profile": spec}
     if isinstance(spec, dict) and "profile" in spec:
         values = check_object(spec, path, _DEVICE_PRESET_KEYS)
-        return _build(path, device_profile, values.pop("profile"), **values)
-    values = check_object(spec, path, _DEVICE_KEYS, required=("name", "mean_rate"))
-    for key, kinds in _DEVICE_ROWS.items():
-        rows = enumerate(values.get(key, ()))
-        values[key] = tuple(check_value(row, f"{path}.{key}[{i}]", kinds) for i, row in rows)
-    return _build(path, DeviceProfile, **values)
+        return build(path, device_profile, values.pop("profile"), **values)
+    return check_value(spec, path, DeviceProfile)

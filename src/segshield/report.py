@@ -11,21 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, attackeval, profiles, tracesim
 from .attackeval import Metrics, evaluate, extract_windows, split_dataset, train_forest
-from .errors import ConfigurationError, SegShieldError
-from .profiles import (
-    NON_NEGATIVE,
-    POSITIVE,
-    DeviceProfile,
-    check_object,
-    resolve_device,
-    resolve_segmentation,
-)
+from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, SegShieldError, check_object, rule
+from .profiles import DeviceProfile, resolve_device, resolve_segmentation
 from .rng import derive_seed
 from .segcore import SegmentationConfig
 from .tracesim import (
@@ -121,11 +114,6 @@ _TRACES = (list, tracesim.TRACE_PATHS)
 _COVER_KEYS = {"enabled": bool, "reference": str | None, "window_s": (float, tracesim.WINDOW)}
 
 
-def _key(default, kind, rule):
-    """A field read from the top-level config key of the same name."""
-    return field(default=default, metadata={"check": (kind, rule)})
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """An experiment config, parsed and checked: values typed, presets resolved.
@@ -138,18 +126,18 @@ class ExperimentConfig:
     cover_reference: str | None = None
     devices: tuple[DeviceProfile, ...] = ()
     traces: tuple[str, ...] = ()
-    seed: int = _key(0, int, NON_NEGATIVE)
-    duration_s: float = _key(tracesim.DEFAULT_DURATION_S, float, tracesim.DURATION)
-    window_s: float = _key(attackeval.DEFAULT_WINDOW_S, float, tracesim.WINDOW)
-    vector_len: int = _key(attackeval.DEFAULT_VECTOR_LEN, int, POSITIVE)
-    train_fraction: float = _key(
-        attackeval.DEFAULT_TRAIN_FRACTION, float, attackeval.TRAIN_FRACTION
+    seed: int = rule(int, NON_NEGATIVE, default=0)
+    duration_s: float = rule(float, tracesim.DURATION, default=tracesim.DEFAULT_DURATION_S)
+    window_s: float = rule(float, tracesim.WINDOW, default=attackeval.DEFAULT_WINDOW_S)
+    vector_len: int = rule(int, POSITIVE, default=attackeval.DEFAULT_VECTOR_LEN)
+    train_fraction: float = rule(
+        float, attackeval.TRAIN_FRACTION, default=attackeval.DEFAULT_TRAIN_FRACTION
     )
-    n_trees: int = _key(attackeval.DEFAULT_N_TREES, int, POSITIVE)
-    max_depth: int | None = _key(None, int | None, POSITIVE)
-    time_overhead: float = _key(tracesim.DEFAULT_TIME_OVERHEAD, float, NON_NEGATIVE)
-    header_bytes: int = _key(tracesim.DEFAULT_HEADER_BYTES, int, NON_NEGATIVE)
-    mtu_frame: int = _key(tracesim.DEFAULT_MTU_FRAME, int, POSITIVE)
+    n_trees: int = rule(int, POSITIVE, default=attackeval.DEFAULT_N_TREES)
+    max_depth: int | None = rule(int | None, POSITIVE, default=None)
+    time_overhead: float = rule(float, NON_NEGATIVE, default=tracesim.DEFAULT_TIME_OVERHEAD)
+    header_bytes: int = rule(int, NON_NEGATIVE, default=tracesim.DEFAULT_HEADER_BYTES)
+    mtu_frame: int = rule(int, POSITIVE, default=tracesim.DEFAULT_MTU_FRAME)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

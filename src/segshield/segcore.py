@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import ConfigurationError
+from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, check_fields, check_value, rule
 
 # IPv4 + TCP headers without options; a segment payload larger than
 # mtu - this would force IP fragmentation.
@@ -27,6 +27,9 @@ def payload_capacity(mtu: int) -> int:
 # The largest chunk a band may draw: one full segment at the default MTU.
 _MAX_SEG = payload_capacity(DEFAULT_MTU)
 
+# The rule of a segmentation probability, checked by errors.check_value.
+PROBABILITY = (lambda v: 0 <= v <= 1, "in [0, 1]")
+
 
 @dataclass(frozen=True)
 class LevelBand:
@@ -36,17 +39,16 @@ class LevelBand:
     ``upper_threshold=None`` marks the catch-all band for larger messages.
     """
 
-    min_seg: int
-    max_seg: int
-    upper_threshold: int | None = None
+    min_seg: int = rule(int, POSITIVE)
+    max_seg: int = rule(int, POSITIVE)
+    upper_threshold: int | None = rule(int | None, POSITIVE, default=None)
 
     def __post_init__(self):
-        if not 0 < self.min_seg <= self.max_seg:
+        check_fields(self)
+        if self.min_seg > self.max_seg:
             raise ConfigurationError(
-                f"band requires 0 < min_seg <= max_seg, got [{self.min_seg}, {self.max_seg}]"
+                f"band requires min_seg <= max_seg, got [{self.min_seg}, {self.max_seg}]"
             )
-        if self.upper_threshold is not None and self.upper_threshold < 1:
-            raise ConfigurationError("upper_threshold must be positive or None")
 
     def covers(self, msg_len: int) -> bool:
         return self.upper_threshold is None or msg_len <= self.upper_threshold
@@ -56,18 +58,15 @@ class LevelBand:
 class SegmentationConfig:
     """Tunable knobs of the defense: firing probability and level bands, whose
     chunks fit one segment at the default MTU. ``seed`` seeds a live
-    connection that is given no ``rng``."""
+    connection that is given no ``rng``; it is no config key."""
 
-    prob: float
-    bands: tuple[LevelBand, ...]
+    prob: float = rule(float, PROBABILITY)
+    bands: tuple[LevelBand, ...] = rule([LevelBand], (lambda v: len(v) > 0, "non-empty"))
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "bands", tuple(self.bands))
-        if not 0.0 <= self.prob <= 1.0:
-            raise ConfigurationError(f"prob must lie in [0, 1], got {self.prob}")
-        if not self.bands:
-            raise ConfigurationError("at least one band is required")
+        check_fields(self)
+        object.__setattr__(self, "seed", check_value(self.seed, "seed", int, NON_NEGATIVE))
         thresholds = [b.upper_threshold for b in self.bands]
         for i, t in enumerate(thresholds):
             if t is None and i != len(thresholds) - 1:

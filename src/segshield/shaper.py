@@ -22,8 +22,8 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
-from .errors import ConfigurationError, IntegrityError, TransportError
-from .profiles import NON_NEGATIVE, POSITIVE, check_value
+from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, IntegrityError, TransportError
+from .errors import check_fields, check_value, rule
 from .rng import derive_seed, make_rng
 from .segcore import SegmentationConfig, SegmentPlan, iter_chunks, segment_message
 
@@ -31,17 +31,17 @@ DEFAULT_SEND_BUFFER = 2**16
 DEFAULT_RECV_BUFFER = 2**17
 # setsockopt takes a buffer size as a C int.
 BUFFER_BYTES = (lambda v: 0 < v < 2**31, "positive and below 2**31")
+PORT = (lambda v: 0 < v < 65536, "1-65535")
 
 
 @dataclass(frozen=True)
 class SocketTuning:
-    no_delay: bool = True
-    send_buffer_bytes: int = DEFAULT_SEND_BUFFER
-    receive_buffer_bytes: int = DEFAULT_RECV_BUFFER
+    no_delay: bool = rule(bool, default=True)
+    send_buffer_bytes: int = rule(int, BUFFER_BYTES, default=DEFAULT_SEND_BUFFER)
+    receive_buffer_bytes: int = rule(int, BUFFER_BYTES, default=DEFAULT_RECV_BUFFER)
 
     def __post_init__(self):
-        for field in ("send_buffer_bytes", "receive_buffer_bytes"):
-            check_value(getattr(self, field), field, int, BUFFER_BYTES)
+        check_fields(self)
 
     def validate_for_shaping(self) -> None:
         if not self.no_delay:
@@ -81,8 +81,8 @@ def parse_address(address) -> tuple[str, int]:
         if not host or not port:
             raise ValueError(f"address must be host:port, got {address!r}")
     port = int(port)
-    if not 1 <= port <= 65535:
-        raise ValueError(f"port must be 1-65535, got {port}")
+    if not PORT[0](port):
+        raise ValueError(f"port must be {PORT[1]}, got {port}")
     return str(host), port
 
 
@@ -190,6 +190,7 @@ def open_shaped_connection(
         tuning = SocketTuning()
     if config is not None:
         tuning.validate_for_shaping()
+    timeout = check_value(timeout, "timeout", float | None, POSITIVE)
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         _apply_tuning(sock, tuning)
@@ -222,6 +223,7 @@ def run_receiver(
     long. Stalls keep the sender blocked on its socket buffer, so buffer
     sizing becomes visible in sender wall time even over loopback. With no
     pause it is a greedy consumer that hashes each block as it comes."""
+    check_value(port, "port", int, PORT)
     timeout = check_value(timeout, "timeout", float, POSITIVE)
     check_value(recv_buffer, "recv_buffer", int, BUFFER_BYTES)
     drain_pause_s = check_value(drain_pause_s, "drain_pause_s", float, NON_NEGATIVE)

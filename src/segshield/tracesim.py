@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, TraceFormatError, TraceRecordError
-from .profiles import NON_NEGATIVE, DeviceProfile, check_value
+from .errors import NON_NEGATIVE, check_value
+from .profiles import DeviceProfile
 from .rng import make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, segment_lengths
 

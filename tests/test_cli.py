@@ -207,6 +207,7 @@ def test_bad_flag_reported_before_missing_files(tmp_path, capsys, main, args, na
         (main_tracesim, ["obfuscate", "--time-overhead", "-1"], "--time-overhead"),
         (main_tracesim, ["obfuscate", "--header-bytes", "-5"], "--header-bytes"),
         (main_tracesim, ["pad", "--mtu-frame", "0"], "--mtu-frame"),
+        (main_tracesim, ["obfuscate", "--prob", "nan"], "--prob"),
     ],
 )
 def test_flag_checked_before_the_input_is_read(tmp_path, capsys, main, argv, flag):
@@ -512,6 +513,7 @@ class TestShaperCli:
             (["send", "--size", "10", "--recv-buf", "8589934592"], "--recv-buf"),
             (["recv", "--recv-buf", str(2**31)], "--recv-buf"),
             (["send", "--size", "10", "--profile", "none", "--prob", "0.5"], "--prob"),
+            (["send", "--size", "10", "--profile", "rand-high", "--prob", "1.5"], "--prob"),
         ],
     )
     def test_bad_number_reported_before_any_socket(self, tmp_path, capsys, monkeypatch, argv, flag):

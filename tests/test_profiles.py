@@ -1,12 +1,20 @@
+import random
+import re
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
+from segshield.errors import ConfigurationError
 from segshield.profiles import (
+    DeviceProfile,
     device_profile,
     device_profile_names,
     segmentation_profile,
     segmentation_profile_names,
 )
-from segshield.segcore import LevelBand, SegmentationConfig
+from segshield.segcore import LevelBand, SegmentationConfig, segment_lengths
+from segshield.shaper import SocketTuning
 
 SEGMENTATION = {
     "low-bandwidth": (0.8, ((5, 20, None),)),
@@ -89,3 +97,77 @@ def test_unknown_names_list_the_known_ones():
     assert dev.value.args[0] == (
         "unknown device profile 'x' (known: bulb-like, camera-like, doorbell-like, plug-like)"
     )
+
+
+# ---------------------------------------------------------------------------
+# field declarations
+
+BANDS = (LevelBand(5, 20),)
+# Valid arguments of each config class, one field of which each test spoils.
+VALID = {
+    LevelBand: {"min_seg": 5, "max_seg": 20, "upper_threshold": 100},
+    SegmentationConfig: {"prob": 0.5, "bands": BANDS, "seed": 3},
+    DeviceProfile: {
+        "name": "x",
+        "mean_rate": 1.0,
+        "incoming": ((100, 1.0),),
+        "outgoing": ((116, 0.5),),
+        "mode_schedule": ((0.0, 1.0, 2.0),),
+    },
+    SocketTuning: {"no_delay": True, "send_buffer_bytes": 2**16, "receive_buffer_bytes": 2**17},
+}
+# A bool and a string, each where its field's annotation does not name it.
+SPOILED = [
+    (cls, f.name, value)
+    for cls in VALID
+    for f in fields(cls)
+    for value in (True, "5")
+    if f.type != type(value).__name__
+]
+
+
+def test_every_config_field_but_the_live_seed_is_declared_with_a_rule():
+    # The config parser reads these declarations; seed is no config key.
+    for cls in VALID:
+        for f in fields(cls):
+            assert bool(f.metadata) != (cls is SegmentationConfig and f.name == "seed"), f.name
+
+
+@pytest.mark.parametrize(
+    "cls,name,value", SPOILED, ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in SPOILED]
+)
+def test_every_field_rejects_a_value_of_another_type(cls, name, value):
+    with pytest.raises(ConfigurationError, match=rf"^{name}(\[|:)"):
+        cls(**{**VALID[cls], name: value})
+
+
+# Each was accepted, truncated, or failed later with an unnamed error.
+@pytest.mark.parametrize(
+    "make,name",
+    [
+        (lambda: LevelBand(5, 20.5), "max_seg"),
+        (lambda: SegmentationConfig(True, BANDS), "prob"),
+        (lambda: SegmentationConfig("0.5", BANDS), "prob"),
+        (lambda: SegmentationConfig(0.5, BANDS, seed=1.5), "seed"),
+        (lambda: segmentation_profile("rand-high", seed=-1), "seed"),
+        (lambda: DeviceProfile("x", 1.0, ((100.7, 1.0),)), "incoming[0][0]"),
+        (lambda: DeviceProfile("x", 1.0, ((True, 1.0),)), "incoming[0][0]"),
+        (lambda: SocketTuning(no_delay="no"), "no_delay"),
+    ],
+)
+def test_fields_the_config_rejects_are_rejected_by_the_library(make, name):
+    with pytest.raises(ConfigurationError, match="^" + re.escape(name) + ":"):
+        make()
+
+
+def test_fractional_band_fails_before_any_draw():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ConfigurationError, match=r"^min_seg: expected int, got 5\.5$"):
+        segment_lengths(300, SegmentationConfig(1.0, (LevelBand(5.5, 20.5),)), rng)
+    assert rng.getstate() == state
+
+
+def test_numpy_integers_are_accepted_as_ints():
+    band = LevelBand(np.int64(5), 20)
+    assert band == LevelBand(5, 20) and type(band.min_seg) is int

@@ -172,18 +172,30 @@ class TestLoopbackTransfers:
             ({"recv_buffer": 2**31}, "recv_buffer"),
             ({"recv_buffer": True}, "recv_buffer"),
             ({"drain_pause_s": math.nan}, "drain_pause_s"),
+            # bind() raised OverflowError, neither a ValueError nor an OSError.
+            ({"port": 70000}, "port"),
         ],
     )
     def test_bad_receiver_argument_rejected_before_any_socket(self, monkeypatch, kwargs, name):
         def no_socket(*args):
             raise AssertionError("a socket was opened")
 
-        port = bound_port()
+        kwargs = {"port": bound_port(), **kwargs}
         monkeypatch.setattr(socket, "socket", no_socket)
         listening = threading.Event()
         with pytest.raises(ConfigurationError, match=name):
-            run_receiver(port, listening=listening, **kwargs)
+            run_receiver(listening=listening, **kwargs)
         assert not listening.is_set()
+
+    # settimeout raised ValueError or TypeError, and the socket was left open.
+    @pytest.mark.parametrize("timeout", [-1, 0.0, math.nan, "x", True])
+    def test_bad_connect_timeout_rejected_before_any_socket(self, monkeypatch, timeout):
+        def no_socket(*args):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        with pytest.raises(ConfigurationError, match="^timeout: "):
+            open_shaped_connection(("127.0.0.1", 9), PASSTHROUGH, timeout=timeout)
 
     def test_negative_drain_pause_rejected(self):
         with pytest.raises(ValueError):

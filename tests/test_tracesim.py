@@ -716,12 +716,18 @@ class TestDeviceProfile:
 
     # An infinite multiplier would never end the synthesis loop.
     @pytest.mark.parametrize(
-        "entry",
-        [(20.0, 10.0, 3.0), (10.0, 20.0, -1.0), (10.0, 20.0, math.inf), (math.nan, 20.0, 3.0)],
+        "entry,message",
+        [
+            ((20.0, 10.0, 3.0), "bad mode_schedule entry"),
+            ((10.0, 20.0, -1.0), "bad mode_schedule entry"),
+            ((10.0, 20.0, math.inf), "mode_schedule[0][2]: must be finite, got inf"),
+            ((math.nan, 20.0, 3.0), "mode_schedule[0][0]: must be finite, got nan"),
+        ],
     )
-    def test_rejects_bad_schedule_entry(self, entry):
-        with pytest.raises(ConfigurationError, match="bad mode_schedule entry"):
+    def test_rejects_bad_schedule_entry(self, entry, message):
+        with pytest.raises(ConfigurationError) as err:
             DeviceProfile(name="x", mean_rate=1.0, incoming=((100, 1.0),), mode_schedule=(entry,))
+        assert str(err.value) == message
 
     def test_schedule_scales_rate(self):
         profile = DeviceProfile(
