@@ -113,12 +113,11 @@ def main_shaper(argv=None) -> int:
         # Flags are checked before any socket is opened.
         check_value(args.reps, "--reps", int, POSITIVE)
         check_value(args.recv_buf, "--recv-buf", int, shaper.BUFFER_BYTES)
-        sending = args.command == "send"
-        try:
-            shaper.parse_address(args.addr if sending else (args.host, args.port))
-        except ValueError as exc:
-            raise ConfigurationError(f"{'--addr' if sending else '--port'}: {exc}") from None
-        if sending:
+        if args.command == "send":
+            try:
+                shaper.parse_address(args.addr)
+            except ValueError as exc:
+                raise ConfigurationError(f"--addr: {exc}") from None
             check_value(args.seed, "--seed", int, NON_NEGATIVE)
             check_value(args.size, "--size", int, POSITIVE)
             check_value(args.send_buf, "--send-buf", int, shaper.BUFFER_BYTES)
@@ -137,6 +136,7 @@ def main_shaper(argv=None) -> int:
                 args.out,
             )
         else:
+            check_value(args.port, "--port", int, shaper.PORT)
             check_value(args.timeout, "--timeout", float, POSITIVE)
             runs = [
                 run_receiver(
@@ -213,7 +213,7 @@ def main_tracesim(argv=None) -> int:
             write_trace(out, args.out)
             print(f"{trace.total_bytes} -> {out.total_bytes} bytes")
         elif args.command == "cover":
-            tracesim.window_us(args.window)  # before any file is read
+            check_value(args.window, "--window", float, tracesim.WINDOW)
             target = ingest_trace(args.target)
             reference = ingest_trace(args.reference)
             result = inject_cover_traffic(target, reference, args.window, args.seed)
@@ -245,7 +245,7 @@ def main_tracesim(argv=None) -> int:
 
 def main_attackeval(argv=None) -> int:
     from . import attackeval, tracesim
-    from .attackeval import check_attack_parameters, run_attack
+    from .attackeval import TRAIN_FRACTION, run_attack
     from .tracesim import ingest_trace, traces_by_device
 
     parser = argparse.ArgumentParser(
@@ -266,19 +266,20 @@ def main_attackeval(argv=None) -> int:
     args = parser.parse_args(argv)
 
     def go():
-        parameters = dict(
-            window_s=args.window,
-            vector_len=args.veclen,
-            train_fraction=args.train_fraction,
-            n_trees=args.trees,
-            max_depth=args.max_depth,
-        )
-        check_attack_parameters(**parameters)
+        # Flags are checked before any file is read, by the experiment config's rules.
+        check_value(args.window, "--window", float, tracesim.WINDOW)
+        check_value(args.veclen, "--veclen", int, POSITIVE)
+        check_value(args.train_fraction, "--train-fraction", float, TRAIN_FRACTION)
+        check_value(args.trees, "--trees", int, POSITIVE)
+        check_value(args.max_depth, "--max-depth", int | None, POSITIVE)
         check_value(args.seed, "--seed", int, NON_NEGATIVE)
         check_value(args.traces, "--traces", list, tracesim.TRACE_PATHS)
         read = (ingest_trace(path) for path in args.traces)
         traces = traces_by_device(args.traces, read, "--traces")
-        metrics = run_attack(list(traces.values()), seed=args.seed, **parameters)
+        metrics = run_attack(
+            list(traces.values()), args.window, args.veclen, args.train_fraction, args.trees,
+            args.max_depth, args.seed,
+        )
         _dump_json(metrics.to_dict(), args.out)
 
     return _run(go)

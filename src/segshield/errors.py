@@ -82,7 +82,7 @@ def check_value(value, path: str, kind, rule=None):
     elif isinstance(kind, list):  # a list of items of one kind
         check_value(value, path, list)
         checked = tuple(check_value(v, f"{path}[{j}]", kind[0]) for j, v in enumerate(value))
-    elif dataclasses.is_dataclass(kind) and not isinstance(value, kind):
+    elif dataclasses.is_dataclass(kind) and isinstance(value, dict):
         ruled = [f for f in dataclasses.fields(kind) if f.metadata]
         schema = {f.name: f.metadata["check"] for f in ruled}
         required = [f.name for f in ruled if f.default is dataclasses.MISSING]
@@ -93,7 +93,8 @@ def check_value(value, path: str, kind, rule=None):
         else:
             ok = isinstance(value, (list, tuple) if kind is list else kind)
         if not ok:
-            raise ConfigurationError(f"{path}: expected {kind.__name__}, got {value!r}")
+            expected = kind.__name__ + (" or dict" if dataclasses.is_dataclass(kind) else "")
+            raise ConfigurationError(f"{path}: expected {expected}, got {value!r}")
         checked = int(value) if kind is int else value
         if kind is float:
             try:

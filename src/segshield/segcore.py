@@ -84,16 +84,11 @@ class SegmentationConfig:
 @dataclass(frozen=True)
 class SegmentPlan:
     """Chunk lengths for one message. ``segmented`` records whether the
-    random split fired or the message passed through untouched."""
+    random split fired or the message passed through untouched. Unchecked:
+    ``iter_chunks`` checks a plan before it cuts a message by it."""
 
     lengths: tuple[int, ...]
     segmented: bool
-
-    def __post_init__(self):
-        if not self.lengths:
-            raise ValueError("a plan needs at least one chunk")
-        if min(self.lengths) <= 0:
-            raise ValueError("chunk lengths must be positive")
 
     @property
     def total(self) -> int:
@@ -157,12 +152,7 @@ def segment_lengths(n: int, config: SegmentationConfig, rng: random.Random) -> S
             append(r)
             remaining -= r
         lengths, segmented = tuple(chunks), True
-    # Every chunk above is positive and there is at least one, so the plan
-    # skips SegmentPlan's checks, which cost as much as the draws.
-    plan = object.__new__(SegmentPlan)
-    object.__setattr__(plan, "lengths", lengths)
-    object.__setattr__(plan, "segmented", segmented)
-    return plan
+    return SegmentPlan(lengths, segmented)
 
 
 def segment_message(
@@ -175,8 +165,13 @@ def segment_message(
 
 
 def iter_chunks(data: bytes | bytearray | memoryview, plan: SegmentPlan) -> Iterator[memoryview]:
-    """Yield the chunk views a plan prescribes; concatenation == data."""
+    """Yield the chunk views a plan prescribes; concatenation == data. Reject
+    a plan with no chunk, a chunk <= 0, or a total other than the message's."""
     view = memoryview(data)
+    if not plan.lengths:
+        raise ValueError("a plan needs at least one chunk")
+    if min(plan.lengths) <= 0:
+        raise ValueError(f"chunk lengths must be positive, got {min(plan.lengths)}")
     if len(view) != plan.total:
         raise ValueError(f"plan covers {plan.total} bytes, message has {len(view)}")
     start = 0

@@ -1,10 +1,12 @@
 """Shaped stream transport and the loopback transfer benchmark.
 
-The sender splits every application message with segcore and pushes each
-chunk as its own send call, with Nagle disabled and a deliberately small
-send buffer so the kernel cannot re-batch chunks at its leisure. Wall
-time is sender-side: first send call until the receiver's EOF comes back
-after shutdown, i.e. until delivery is acknowledged end-to-end.
+The sender plans every application message with segcore and sends the
+plan, one ``sendall`` per chunk, with Nagle disabled and a deliberately
+small send buffer so the kernel cannot re-batch chunks at its leisure.
+``finish`` builds the sender's stats once, from the lengths of the chunks
+written whole. Wall time is sender-side: first send call until the
+receiver's EOF comes back after shutdown, i.e. until delivery is
+acknowledged end-to-end; it is 0 if nothing was sent.
 
 Note on Linux buffer sizes: the kernel doubles the requested SO_SNDBUF /
 SO_RCVBUF for bookkeeping, so queried values are compared as
@@ -80,10 +82,8 @@ def parse_address(address) -> tuple[str, int]:
         host, _, port = str(address).rpartition(":")
         if not host or not port:
             raise ValueError(f"address must be host:port, got {address!r}")
-    port = int(port)
-    if not PORT[0](port):
-        raise ValueError(f"port must be {PORT[1]}, got {port}")
-    return str(host), port
+        port = int(port)
+    return str(host), check_value(port, "port", int, PORT)
 
 
 def _apply_tuning(sock: socket.socket, tuning: SocketTuning) -> None:
@@ -115,9 +115,8 @@ class ShapedConnection:
         # An unshaped connection never draws, so it seeds no generator.
         self._rng = None if config is None else make_rng(config.seed if rng is None else rng)
         self._segment_log: list[int] = []
-        self._bytes_sent = 0
         self._started: float | None = None
-        self._finished: float | None = None
+        self._stats: TransferStats | None = None
 
     @property
     def socket(self) -> socket.socket:
@@ -131,41 +130,36 @@ class ShapedConnection:
             plan = SegmentPlan((len(message),), segmented=False)
         if self._started is None:
             self._started = time.perf_counter()
-        sent = 0
         try:
-            for chunk in iter_chunks(message, plan):
+            for sent, chunk in enumerate(iter_chunks(message, plan)):
                 self._sock.sendall(chunk)
-                sent += 1
-                self._segment_log.append(len(chunk))
-                self._bytes_sent += len(chunk)
         except OSError as exc:
+            self._segment_log.extend(plan.lengths[:sent])
             raise TransportError(
                 f"connection lost after {sent} chunks: {exc}", chunks_sent=sent
             ) from exc
+        self._segment_log.extend(plan.lengths)
         return plan
 
     def finish(self) -> TransferStats:
         """Signal end-of-stream and wait for the peer to drain and close;
-        the clock stops when its EOF arrives."""
-        if self._finished is None:
+        the clock stops when its EOF arrives. A second call returns the
+        same stats."""
+        if self._stats is None:
             try:
                 self._sock.shutdown(socket.SHUT_WR)
                 while self._sock.recv(4096):
                     pass
             except OSError as exc:
                 raise TransportError(f"peer vanished before drain: {exc}") from exc
-            self._finished = time.perf_counter()
-        return self.stats()
-
-    def stats(self) -> TransferStats:
-        start = self._started if self._started is not None else 0.0
-        end = self._finished if self._finished is not None else start
-        return TransferStats(
-            bytes_sent=self._bytes_sent,
-            packets_sent=len(self._segment_log),
-            wall_time=end - start,
-            segment_log=tuple(self._segment_log),
-        )
+            log = tuple(self._segment_log)
+            self._stats = TransferStats(
+                bytes_sent=sum(log),
+                packets_sent=len(log),
+                wall_time=time.perf_counter() - self._started if log else 0.0,
+                segment_log=log,
+            )
+        return self._stats
 
     def close(self) -> None:
         self._sock.close()

@@ -111,7 +111,7 @@ class TestTracesimCli:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: window_s") and "Traceback" not in err
+        assert err.startswith("error: --window:") and "Traceback" not in err
         assert not out.exists()
 
     def test_synth_from_profile_json(self, tmp_path, capsys):
@@ -175,17 +175,17 @@ class TestTracesimCli:
 @pytest.mark.parametrize(
     "main,args,name",
     [
-        (main_attackeval, ["--window", "0"], "window_s"),
-        (main_attackeval, ["--window", "1e-7"], "window_s"),
-        (main_attackeval, ["--veclen", "0"], "vector_len"),
-        (main_attackeval, ["--train-fraction", "1.5"], "train_fraction"),
-        (main_attackeval, ["--trees", "0"], "n_trees"),
-        (main_attackeval, ["--max-depth", "0"], "max_depth"),
-        (main_tracesim, ["--window", "0"], "window_s"),
-        (main_attackeval, ["--window", "inf"], "window_s"),
-        (main_tracesim, ["--window", "inf"], "window_s"),
-        (main_attackeval, ["--window", "1e13"], "window_s"),
-        (main_tracesim, ["--window", "1e13"], "window_s"),
+        (main_attackeval, ["--window", "0"], "--window"),
+        (main_attackeval, ["--window", "1e-7"], "--window"),
+        (main_attackeval, ["--veclen", "0"], "--veclen"),
+        (main_attackeval, ["--train-fraction", "1.5"], "--train-fraction"),
+        (main_attackeval, ["--trees", "0"], "--trees"),
+        (main_attackeval, ["--max-depth", "0"], "--max-depth"),
+        (main_tracesim, ["--window", "0"], "--window"),
+        (main_attackeval, ["--window", "inf"], "--window"),
+        (main_tracesim, ["--window", "inf"], "--window"),
+        (main_attackeval, ["--window", "1e13"], "--window"),
+        (main_tracesim, ["--window", "1e13"], "--window"),
     ],
 )
 def test_bad_flag_reported_before_missing_files(tmp_path, capsys, main, args, name):
@@ -197,7 +197,7 @@ def test_bad_flag_reported_before_missing_files(tmp_path, capsys, main, args, na
                 "--out", str(tmp_path / "cov.jsonl")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name}") and "Traceback" not in err
+    assert err.startswith(f"error: {name}:") and "Traceback" not in err
     assert "nonexistent" not in err
 
 
@@ -228,15 +228,15 @@ DURATION_RULE = "positive and below 2**63 µs (about 9.2e12 s)"
 @pytest.mark.parametrize(
     "key,value,rule,argv,cli_name,library",
     [
-        ("window_s", 0.0, WINDOW_RULE, ["run", "--window"], "window_s",
+        ("window_s", 0.0, WINDOW_RULE, ["run", "--window"], "--window",
          lambda v: extract_windows(TRACE, v)),
-        ("vector_len", 0, "positive", ["run", "--veclen"], "vector_len",
+        ("vector_len", 0, "positive", ["run", "--veclen"], "--veclen",
          lambda v: extract_windows(TRACE, 30.0, v)),
-        ("train_fraction", 1.5, "in (0, 1)", ["run", "--train-fraction"], "train_fraction",
+        ("train_fraction", 1.5, "in (0, 1)", ["run", "--train-fraction"], "--train-fraction",
          lambda v: split_dataset(TRAIN, v)),
-        ("n_trees", 0, "positive", ["run", "--trees"], "n_trees",
+        ("n_trees", 0, "positive", ["run", "--trees"], "--trees",
          lambda v: train_forest(TRAIN, v)),
-        ("max_depth", 0, "positive", ["run", "--max-depth"], "max_depth",
+        ("max_depth", 0, "positive", ["run", "--max-depth"], "--max-depth",
          lambda v: train_forest(TRAIN, 1, v)),
         ("duration_s", -1.0, DURATION_RULE, ["synth", "--duration"], "--duration",
          lambda v: synthesize_trace(device_profile("bulb-like"), v, 0)),
@@ -374,7 +374,7 @@ class TestAttackevalCli:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: max_depth") and "Traceback" not in err
+        assert err.startswith("error: --max-depth:") and "Traceback" not in err
         assert not out.exists()
 
 

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import pytest
 from hypothesis import given, strategies as st
 
+from segshield.errors import ConfigurationError
 from segshield.segcore import (
     LevelBand,
     SegmentationConfig,
@@ -21,7 +22,6 @@ from segshield.profiles import (
     segmentation_profile,
     segmentation_profile_names,
 )
-from segshield.tracesim import Trace, pad_trace
 
 
 def reference_band(n, config):
@@ -35,9 +35,8 @@ def reference_band(n, config):
 
 
 def randint_segment_lengths(n, config, rng):
-    """segment_lengths as it drew chunk lengths with rng.randint and built a
-    checked SegmentPlan: the oracle for the inlined band scan, getrandbits
-    draw and unchecked plan."""
+    """segment_lengths as it drew chunk lengths with rng.randint: the oracle
+    for the inlined band scan and getrandbits draw."""
     band = reference_band(n, config)
     if n < band.min_seg or rng.random() >= config.prob:
         return SegmentPlan((n,), segmented=False)
@@ -81,7 +80,7 @@ class TestPlanDefaultSegments:
         assert all(length == mss for length in plan.lengths[:-1])
 
 
-class TestSelectBand:
+class TestBandRule:
     """The band rule, seen in the chunks that segment_lengths draws."""
 
     @staticmethod
@@ -264,45 +263,18 @@ class TestSegmentMessage:
         plan = segment_message(data, low_bandwidth, rng)
         assert b"".join(iter_chunks(data, plan)) == data
 
-    def test_iter_chunks_validates_total(self):
-        with pytest.raises(ValueError):
-            list(iter_chunks(b"abcd", SegmentPlan((2, 3), segmented=True)))
-
-
-class TestPadPacketRandom:
-    """The random-padding rule for one frame, through tracesim.pad_trace."""
-
-    @staticmethod
-    def padded(sizes, ceiling, rng):
-        trace = Trace(range(len(sizes)), sizes, [False] * len(sizes), "d")
-        return pad_trace(trace, ceiling, rng).signed_size.tolist()
-
-    def test_at_ceiling_unchanged(self):
-        rng = random.Random(0)
-        state = rng.getstate()
-        assert self.padded([1400, -1400], 1400, rng) == [1400, -1400]
-        assert rng.getstate() == state  # a full frame draws nothing
-
-    def test_one_byte_short(self):
-        assert self.padded([1399, -1399], 1400, random.Random(0)) == [1400, -1400]
-
-    def test_draws_cover_range_only(self):
-        values = set(self.padded([100] * 10**4, 1400, random.Random(5)))
-        assert min(values) >= 101
-        assert max(values) <= 1400
-
-    @pytest.mark.parametrize("payload,ceiling", [(0, 1400), (1401, 1400), (-11, 10)])
-    def test_rejects_out_of_range(self, payload, ceiling):
-        with pytest.raises(ValueError):
-            self.padded([payload], ceiling, random.Random(0))
-
-    @given(
-        payload=st.integers(1, 1400),
-        seed=st.integers(0, 2**32),
+    @pytest.mark.parametrize(
+        "data,lengths,reason",
+        [
+            (b"abcd", (2, 3), "covers 5 bytes"),
+            (b"", (), "at least one chunk"),
+            (b"abcd", (2, 0, 2), "positive, got 0"),
+            (b"abcd", (5, -1), "positive, got -1"),
+        ],
     )
-    def test_never_shrinks_never_overflows(self, payload, seed):
-        [padded] = self.padded([payload], 1400, random.Random(seed))
-        assert payload <= padded <= 1400
+    def test_iter_chunks_validates_plan(self, data, lengths, reason):
+        with pytest.raises(ValueError, match=reason):
+            next(iter_chunks(data, SegmentPlan(lengths, segmented=True)))
 
 
 class TestConfigValidation:
@@ -338,6 +310,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SegmentationConfig(prob=0.5, bands=(LevelBand(5, 1461),))
 
+    def test_band_of_another_type_names_the_band_class(self):
+        with pytest.raises(ConfigurationError) as err:
+            SegmentationConfig(0.5, ("x",))
+        assert str(err.value) == "bands[0]: expected LevelBand or dict, got 'x'"
+
 
 def full_object(config):
     """A config as a full segmentation object: asdict without the seed,
@@ -358,3 +335,8 @@ class TestConfigIO:
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(ValueError):
             resolve_segmentation({"prob": 0.5})
+
+    def test_band_of_another_type_names_the_band_class(self):
+        with pytest.raises(ConfigurationError) as err:
+            resolve_segmentation({"prob": 0.5, "bands": ["x"]})
+        assert str(err.value) == "segmentation.bands[0]: expected LevelBand or dict, got 'x'"

@@ -1,14 +1,17 @@
 import hashlib
 import math
+import random
 import socket
+import struct
 import threading
 
 import pytest
 
 from segshield.errors import ConfigurationError, TransportError
 from segshield.profiles import segmentation_profile
-from segshield.segcore import LevelBand, SegmentationConfig
+from segshield.segcore import LevelBand, SegmentationConfig, segment_message
 from segshield.shaper import (
+    ShapedConnection,
     SocketTuning,
     TransferStats,
     bound_port,
@@ -33,6 +36,26 @@ def start_receiver(**kwargs):
     thread.start()
     assert listening.wait(5)
     return port, thread, result
+
+
+class RecordingSocket:
+    """A connected socket that keeps each chunk passed to sendall, and whose
+    sendall fails once ``fail_at`` chunks have gone through."""
+
+    def __init__(self, fail_at=None):
+        self.sent = []
+        self.fail_at = fail_at
+
+    def sendall(self, chunk):
+        if len(self.sent) == self.fail_at:
+            raise ConnectionResetError("connection reset by peer")
+        self.sent.append(bytes(chunk))
+
+    def shutdown(self, how):
+        pass
+
+    def recv(self, size):
+        return b""
 
 
 class TestTuningAndStats:
@@ -66,9 +89,15 @@ class TestTuningAndStats:
 
     @pytest.mark.parametrize("address", ["127.0.0.1:0", "127.0.0.1:65536", ("h", -5), ("h", 70000)])
     def test_parse_address_rejects_a_port_outside_1_65535(self, address):
-        with pytest.raises(ValueError, match="port must be 1-65535"):
+        with pytest.raises(ConfigurationError, match="^port: must be 1-65535, got -?[0-9]+$"):
             parse_address(address)
         assert parse_address("h:65535") == ("h", 65535) and parse_address(("h", 1)) == ("h", 1)
+
+    def test_address_and_receiver_share_the_port_text(self):
+        for reject in (lambda: parse_address("h:0"), lambda: run_receiver(0)):
+            with pytest.raises(ConfigurationError) as err:
+                reject()
+            assert str(err.value) == "port: must be 1-65535, got 0"
 
     def test_mean_wall_time(self):
         runs = [
@@ -96,12 +125,57 @@ class TestLoopbackTransfers:
         port, thread, result = start_receiver()
         conn = open_shaped_connection(("127.0.0.1", port), segmentation_profile("rand-high"))
         with conn:
-            conn.send(b"a" * 5000)
-            conn.send(b"b" * 5000)
-            conn.finish()
+            first = conn.send(b"a" * 5000)
+            second = conn.send(b"b" * 5000)
+            stats = conn.finish()
         thread.join(5)
         expected = hashlib.sha256(b"a" * 5000 + b"b" * 5000).hexdigest()
         assert result[0].checksum == expected
+        assert stats.segment_log == first.lengths + second.lengths
+        assert stats.bytes_sent == 10_000
+
+    def test_finish_without_a_send_reports_no_wall_time(self):
+        port, thread, result = start_receiver()
+        with open_shaped_connection(("127.0.0.1", port), PASSTHROUGH) as conn:
+            stats = conn.finish()
+            assert conn.finish() is stats
+        thread.join(5)
+        assert stats == TransferStats(bytes_sent=0, packets_sent=0, wall_time=0.0)
+        assert result[0].bytes_sent == 0
+
+    @pytest.mark.parametrize("config", [segmentation_profile("rand-high"), None])
+    def test_empty_message_rejected_before_any_send_call(self, config):
+        sock = RecordingSocket()
+        conn = ShapedConnection(sock, config)
+        with pytest.raises(ValueError):
+            conn.send(b"")
+        assert sock.sent == []
+        assert conn.finish() == TransferStats(bytes_sent=0, packets_sent=0, wall_time=0.0)
+
+    def test_failed_send_logs_the_chunks_written_whole(self):
+        sock = RecordingSocket(fail_at=2)
+        conn = ShapedConnection(sock, SegmentationConfig(1.0, (LevelBand(100, 200),)))
+        with pytest.raises(TransportError) as err:
+            conn.send(bytes(10_000))
+        assert err.value.chunks_sent == 2
+        stats = conn.finish()
+        assert stats.segment_log == tuple(len(chunk) for chunk in sock.sent)
+        assert stats.packets_sent == 2 and stats.wall_time > 0
+
+    def test_peer_reset_mid_message(self):
+        config = segmentation_profile("rand-high")
+        payload = bytes(2**22)
+        plan = segment_message(payload, config, random.Random(1))
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            address = server.getsockname()
+            conn = open_shaped_connection(address, config, rng=1)
+            peer, _ = server.accept()
+        # Linger 0: close sends a reset in place of the end of the stream.
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()
+        with conn, pytest.raises(TransportError) as err:
+            conn.send(payload)
+        assert 0 <= err.value.chunks_sent < len(plan.lengths)
 
     def test_shaped_payload_digest_and_log_bounds(self):
         config = segmentation_profile("rand-high", seed=3)

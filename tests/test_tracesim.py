@@ -951,6 +951,42 @@ class TestPadTrace:
             assert (before < 0) == (after < 0)
 
 
+class TestPadOneFrame:
+    """The random-padding rule for one frame, through tracesim.pad_trace."""
+
+    @staticmethod
+    def padded(sizes, ceiling, rng):
+        trace = Trace(range(len(sizes)), sizes, [False] * len(sizes), "d")
+        return pad_trace(trace, ceiling, rng).signed_size.tolist()
+
+    def test_at_ceiling_unchanged(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert self.padded([1400, -1400], 1400, rng) == [1400, -1400]
+        assert rng.getstate() == state  # a full frame draws nothing
+
+    def test_one_byte_short(self):
+        assert self.padded([1399, -1399], 1400, random.Random(0)) == [1400, -1400]
+
+    def test_draws_cover_range_only(self):
+        values = set(self.padded([100] * 10**4, 1400, random.Random(5)))
+        assert min(values) >= 101
+        assert max(values) <= 1400
+
+    @pytest.mark.parametrize("payload,ceiling", [(0, 1400), (1401, 1400), (-11, 10)])
+    def test_rejects_out_of_range(self, payload, ceiling):
+        with pytest.raises(ValueError):
+            self.padded([payload], ceiling, random.Random(0))
+
+    @given(
+        payload=st.integers(1, 1400),
+        seed=st.integers(0, 2**32),
+    )
+    def test_never_shrinks_never_overflows(self, payload, seed):
+        [padded] = self.padded([payload], 1400, random.Random(seed))
+        assert payload <= padded <= 1400
+
+
 class TestCoverTraffic:
     def test_reference_equal_to_target_needs_no_cover(self):
         trace = mk_trace([130, -116] * 50)
