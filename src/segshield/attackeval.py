@@ -68,24 +68,6 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
 
 
-def check_attack_parameters(
-    window_s: float = DEFAULT_WINDOW_S,
-    vector_len: int = DEFAULT_VECTOR_LEN,
-    train_fraction: float = DEFAULT_TRAIN_FRACTION,
-    n_trees: int = DEFAULT_N_TREES,
-    max_depth: int | None = None,
-) -> int:
-    """The one check of the attack's parameters, which a caller can also run
-    before it reads any trace. Raise ConfigurationError naming the first bad
-    one; return the window width in microseconds."""
-    width = window_us(window_s)
-    check_value(vector_len, "vector_len", int, POSITIVE)
-    check_value(train_fraction, "train_fraction", float, TRAIN_FRACTION)
-    check_value(n_trees, "n_trees", int, POSITIVE)
-    check_value(max_depth, "max_depth", int | None, POSITIVE)
-    return width
-
-
 def extract_windows(
     trace: Trace,
     window_s: float = DEFAULT_WINDOW_S,
@@ -93,7 +75,8 @@ def extract_windows(
 ) -> list[FeatureVector]:
     """Cut the trace into fixed windows and emit one vector per non-empty
     window. Cover records are included: the observer cannot strip them."""
-    width = check_attack_parameters(window_s, vector_len)
+    width = window_us(window_s)
+    check_value(vector_len, "vector_len", int, POSITIVE)
     # Timestamps are sorted, so each window's records are a contiguous run.
     starts = window_starts(trace.timestamp_us, width).tolist()
     sizes = trace.signed_size
@@ -111,7 +94,7 @@ def split_dataset(
     rng: random.Random | int = 0,
 ) -> tuple[list[FeatureVector], list[FeatureVector]]:
     """Stratified shuffle split; every class lands in both partitions."""
-    check_attack_parameters(train_fraction=train_fraction)
+    check_value(train_fraction, "train_fraction", float, TRAIN_FRACTION)
     rng = make_rng(rng)
     by_label: dict[str, list[FeatureVector]] = {}
     for vec in vectors:
@@ -530,7 +513,8 @@ def train_forest(
     """
     if not train:
         raise ValueError("training set is empty")
-    check_attack_parameters(n_trees=n_trees, max_depth=max_depth)
+    check_value(n_trees, "n_trees", int, POSITIVE)
+    check_value(max_depth, "max_depth", int | None, POSITIVE)
     n_features = len(train[0].values)
     if n_features == 0:
         raise ValueError("vectors have 0 features; need at least 1")

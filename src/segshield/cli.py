@@ -12,7 +12,7 @@ from . import profiles, shaper
 from .errors import NON_NEGATIVE, POSITIVE, ConfigurationError, SegShieldError, check_value
 from .profiles import resolve_device, resolve_segmentation
 from .segcore import PROBABILITY
-from .shaper import SocketTuning, mean_wall_time, run_receiver, send_seeded_payload
+from .shaper import SocketTuning, _receive, mean_wall_time, send_seeded_payload
 
 # The offline stack (report, attackeval, tracesim) loads numpy, so each command
 # that uses it imports it itself: `shaper` starts faster and holds less memory.
@@ -138,13 +138,9 @@ def main_shaper(argv=None) -> int:
         else:
             check_value(args.port, "--port", int, shaper.PORT)
             check_value(args.timeout, "--timeout", float, POSITIVE)
-            runs = [
-                run_receiver(
-                    args.port, host=args.host, timeout=args.timeout, recv_buffer=args.recv_buf
-                ).to_dict()
-                for _ in range(args.reps)
-            ]
-            _dump_json({"runs": runs}, args.out)
+            # One listening socket for all --reps transfers.
+            runs = _receive(args.port, args.host, args.timeout, args.recv_buf, 0.0, None, args.reps)
+            _dump_json({"runs": [r.to_dict() for r in runs]}, args.out)
 
     return _run(go)
 

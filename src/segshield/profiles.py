@@ -18,7 +18,7 @@ the typed value; their errors name the key path of the offending value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import POSITIVE, ConfigurationError, build, check_fields, check_object, check_value, rule
 from .segcore import LevelBand, SegmentationConfig
@@ -142,27 +142,26 @@ def device_profile_names() -> tuple[str, ...]:
 # config entries
 
 
-_SEGMENTATION_PRESET_KEYS = {"profile": str, "prob": float | None}
-_DEVICE_PRESET_KEYS = {"profile": str, "mean_rate": float | None}
+def _resolve(spec, path: str, make, override: str, kind):
+    """A preset name, a ``{"profile", override}`` object that ``make`` turns
+    into a preset with ``override`` replaced, or a full ``kind`` object. The
+    override is checked by the rule of its ``kind`` field, under its key path."""
+    if isinstance(spec, str):
+        spec = {"profile": spec}
+    if isinstance(spec, dict) and "profile" in spec:
+        field_kind, field_rule = {f.name: f for f in fields(kind)}[override].metadata["check"]
+        values = check_object(spec, path, {"profile": str, override: (field_kind | None, field_rule)})
+        return build(path, make, values.pop("profile"), **values)
+    return check_value(spec, path, kind)
 
 
 def resolve_segmentation(spec, path: str = "segmentation") -> SegmentationConfig:
     """A preset name, a ``{"profile", "prob"}`` override, or a full config
     object of ``prob`` and ``bands``."""
-    if isinstance(spec, str):
-        spec = {"profile": spec}
-    if isinstance(spec, dict) and "profile" in spec:
-        values = check_object(spec, path, _SEGMENTATION_PRESET_KEYS)
-        return build(path, segmentation_profile, values.pop("profile"), **values)
-    return check_value(spec, path, SegmentationConfig)
+    return _resolve(spec, path, segmentation_profile, "prob", SegmentationConfig)
 
 
 def resolve_device(spec, path: str = "device") -> DeviceProfile:
     """A preset name, a ``{"profile", "mean_rate"}`` override, or a full
     profile object."""
-    if isinstance(spec, str):
-        spec = {"profile": spec}
-    if isinstance(spec, dict) and "profile" in spec:
-        values = check_object(spec, path, _DEVICE_PRESET_KEYS)
-        return build(path, device_profile, values.pop("profile"), **values)
-    return check_value(spec, path, DeviceProfile)
+    return _resolve(spec, path, device_profile, "mean_rate", DeviceProfile)

@@ -165,8 +165,8 @@ def segment_message(
 
 
 def iter_chunks(data: bytes | bytearray | memoryview, plan: SegmentPlan) -> Iterator[memoryview]:
-    """Yield the chunk views a plan prescribes; concatenation == data. Reject
-    a plan with no chunk, a chunk <= 0, or a total other than the message's."""
+    """An iterator over the chunk views a plan prescribes; concatenation ==
+    data. Reject at the call a plan with no chunk, a chunk <= 0, or another total."""
     view = memoryview(data)
     if not plan.lengths:
         raise ValueError("a plan needs at least one chunk")
@@ -174,7 +174,12 @@ def iter_chunks(data: bytes | bytearray | memoryview, plan: SegmentPlan) -> Iter
         raise ValueError(f"chunk lengths must be positive, got {min(plan.lengths)}")
     if len(view) != plan.total:
         raise ValueError(f"plan covers {plan.total} bytes, message has {len(view)}")
+    return _cut(view, plan.lengths)
+
+
+def _cut(view: memoryview, lengths: tuple[int, ...]) -> Iterator[memoryview]:
+    """The views of ``view`` that ``lengths`` cut, taken one at a time."""
     start = 0
-    for length in plan.lengths:
+    for length in lengths:
         yield view[start : start + length]
         start += length

@@ -100,6 +100,11 @@ def _apply_tuning(sock: socket.socket, tuning: SocketTuning) -> None:
             )
 
 
+def _plan_rng(config: SegmentationConfig | None, rng) -> random.Random | None:
+    """A connection's planning generator; an unshaped one never draws, so it seeds none."""
+    return None if config is None else make_rng(config.seed if rng is None else rng)
+
+
 class ShapedConnection:
     """One connected stream. Owned by one thread at a time; hand the object
     over whole if another thread takes it."""
@@ -112,8 +117,7 @@ class ShapedConnection:
     ):
         self._sock = sock
         self._config = config
-        # An unshaped connection never draws, so it seeds no generator.
-        self._rng = None if config is None else make_rng(config.seed if rng is None else rng)
+        self._rng = _plan_rng(config, rng)
         self._segment_log: list[int] = []
         self._started: float | None = None
         self._stats: TransferStats | None = None
@@ -178,13 +182,15 @@ def open_shaped_connection(
     timeout: float | None = 10.0,
     rng: random.Random | int | None = None,
 ) -> ShapedConnection:
-    """Connect and apply per-socket tuning; nothing system-wide changes."""
+    """Connect and apply per-socket tuning; nothing system-wide changes.
+    Every argument is checked before a socket is opened."""
     host, port = parse_address(address)
     if tuning is None:
         tuning = SocketTuning()
     if config is not None:
         tuning.validate_for_shaping()
     timeout = check_value(timeout, "timeout", float | None, POSITIVE)
+    rng = _plan_rng(config, rng)
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         _apply_tuning(sock, tuning)
@@ -217,6 +223,13 @@ def run_receiver(
     long. Stalls keep the sender blocked on its socket buffer, so buffer
     sizing becomes visible in sender wall time even over loopback. With no
     pause it is a greedy consumer that hashes each block as it comes."""
+    return _receive(port, host, timeout, recv_buffer, drain_pause_s, listening, 1)[0]
+
+
+def _receive(port, host, timeout, recv_buffer, drain_pause_s, listening, count) -> list:
+    """The stats of ``count`` transfers, each drained as run_receiver drains
+    one, accepted in turn on one listening socket: a sender's next transfer
+    never finds the port closed."""
     check_value(port, "port", int, PORT)
     timeout = check_value(timeout, "timeout", float, POSITIVE)
     check_value(recv_buffer, "recv_buffer", int, BUFFER_BYTES)
@@ -232,10 +245,15 @@ def run_receiver(
         server.settimeout(timeout)
         if listening is not None:
             listening.set()
-        try:
-            conn, _ = server.accept()
-        except socket.timeout as exc:
-            raise TransportError(f"no connection within {timeout}s") from exc
+        return [_drain(server, timeout, drain_pause_s) for _ in range(count)]
+
+
+def _drain(server: socket.socket, timeout: float, drain_pause_s: float) -> TransferStats:
+    """Accept one connection on ``server`` and read it to EOF."""
+    try:
+        conn, _ = server.accept()
+    except socket.timeout as exc:
+        raise TransportError(f"no connection within {timeout}s") from exc
     digest = hashlib.sha256()
     received = 0
     started = None

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import operator
 import random
 from array import array
 from bisect import bisect
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, TraceFormatError, TraceRecordError
-from .errors import NON_NEGATIVE, check_value
+from .errors import NON_NEGATIVE, POSITIVE, check_value
 from .profiles import DeviceProfile
 from .rng import make_rng
 from .segcore import DEFAULT_MTU, SegmentationConfig, segment_lengths
@@ -545,10 +544,11 @@ def obfuscate_trace(
     return Trace(*map(_frozen, columns), trace.device, header)
 
 
-def check_mtu_frame(trace: Trace, mtu_frame: int) -> None:
-    """Raise ValueError naming mtu_frame if a frame of ``trace`` is above
-    it, or if frames padded up to it could total 2**63 bytes or more over
-    ``trace``, beyond 64 bits."""
+def check_mtu_frame(trace: Trace, mtu_frame: int) -> int:
+    """Return ``mtu_frame`` as an int. Raise ValueError naming it unless it is
+    a positive int, no frame of ``trace`` is above it, and frames padded up to
+    it total below 2**63 bytes, within 64 bits."""
+    mtu_frame = check_value(mtu_frame, "mtu_frame", int, POSITIVE)
     if len(trace) * mtu_frame >= 2**63:
         raise ValueError(
             f"mtu_frame: {mtu_frame} pads {trace.device!r}'s {len(trace)} records "
@@ -561,13 +561,13 @@ def check_mtu_frame(trace: Trace, mtu_frame: int) -> None:
             f"mtu_frame: {mtu_frame} is below {trace.device!r}'s record {i}, "
             f"{abs(int(trace.signed_size[i]))} bytes"
         )
+    return mtu_frame
 
 
 def pad_trace(trace: Trace, mtu_frame: int, rng: random.Random | int) -> Trace:
     """Random-padding baseline: every frame grows to a uniform size up to
     the frame ceiling; packet count and timing stay unchanged."""
-    check_mtu_frame(trace, mtu_frame)
-    mtu_frame = operator.index(mtu_frame)
+    mtu_frame = check_mtu_frame(trace, mtu_frame)
     # Each frame below the ceiling grows by rng.randint(1, mtu_frame - size)
     # as CPython's random.Random draws it: 1 + getrandbits(k) until the value
     # is below the span. Inlined, it costs no Python frame. A full frame

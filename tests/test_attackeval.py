@@ -15,7 +15,6 @@ from segshield.attackeval import (
     _rank_keys,
     _search_splits,
     _sorted_sample,
-    check_attack_parameters,
     evaluate,
     extract_windows,
     f1_score,
@@ -483,7 +482,7 @@ class TestForestParameters:
     @pytest.mark.parametrize("vector_len", [True, 2.5, 200.0])
     def test_rejects_vector_len_that_is_not_an_integer(self, vector_len):
         with pytest.raises(ValueError, match="vector_len"):
-            check_attack_parameters(vector_len=vector_len)
+            extract_windows(Trace([0], [130], [False], "dev"), 30.0, vector_len)
 
     def test_accepts_numpy_integers(self):
         train = labeled([((1, 0), "a"), ((2, 0), "b")] * 3)

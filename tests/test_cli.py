@@ -1,8 +1,11 @@
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
+import time
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import segshield
 from segshield.attackeval import FeatureVector, extract_windows, split_dataset, train_forest
 from segshield.cli import main_attackeval, main_segshield, main_shaper, main_tracesim
-from segshield.errors import ConfigurationError
+from segshield.errors import ConfigurationError, TransportError
 from segshield.profiles import (
     device_profile,
     device_profile_names,
@@ -18,8 +21,15 @@ from segshield.profiles import (
     segmentation_profile_names,
 )
 from segshield.report import ExperimentConfig
-from segshield.shaper import bound_port
-from segshield.tracesim import Trace, ingest_trace, obfuscate_trace, synthesize_trace
+from segshield.shaper import bound_port, open_shaped_connection
+from segshield.tracesim import (
+    Trace,
+    ingest_trace,
+    inject_cover_traffic,
+    obfuscate_trace,
+    pad_trace,
+    synthesize_trace,
+)
 
 
 @pytest.fixture
@@ -245,6 +255,8 @@ DURATION_RULE = "positive and below 2**63 µs (about 9.2e12 s)"
          lambda v: obfuscate_trace(TRACE, segmentation_profile("low-bandwidth"), v, 0)),
         ("header_bytes", -5, "non-negative", ["obfuscate", "--header-bytes"], "--header-bytes",
          lambda v: Trace([0], [130], [False], "dev", v)),
+        ("mtu_frame", 0, "positive", ["pad", "--mtu-frame"], "--mtu-frame",
+         lambda v: pad_trace(TRACE, v, 0)),
     ],
 )
 def test_each_shared_rule_is_written_once(
@@ -297,6 +309,34 @@ def test_negative_seed_rejected_before_any_input(tmp_path, capsys, monkeypatch, 
     assert main([*argv, "--seed", "-3", "--out", "out.json"]) == 1
     assert capsys.readouterr().err == "error: --seed: must be non-negative, got -3\n"
     assert not (tmp_path / "out.json").exists()
+
+
+# Each seeded library stage, called with the seed and a listening peer's address.
+SEEDED_STAGES = {
+    "synthesize": lambda rng, _: synthesize_trace(device_profile("bulb-like"), 60.0, rng),
+    "obfuscate": lambda rng, _: obfuscate_trace(
+        TRACE, segmentation_profile("low-bandwidth"), 0.2, rng
+    ),
+    "pad": lambda rng, _: pad_trace(TRACE, 1582, rng),
+    "cover": lambda rng, _: inject_cover_traffic(TRACE, TRACE, 30.0, rng),
+    "split": lambda rng, _: split_dataset(TRAIN * 2, 0.5, rng),
+    "forest": lambda rng, _: train_forest(TRAIN, 1, rng=rng),
+    "connection": lambda rng, address: open_shaped_connection(
+        address, segmentation_profile("rand-high"), rng=rng
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", SEEDED_STAGES.values(), ids=SEEDED_STAGES.keys())
+def test_negative_seed_rejected_by_every_library_stage(stage):
+    # The rule of every --seed flag: random.Random(-1) would repeat seed 1.
+    with socket.create_server(("127.0.0.1", 0)) as peer:
+        with pytest.raises(ConfigurationError, match=r"^rng: must be non-negative, got -1$"):
+            stage(-1, peer.getsockname())
+        # The generator is built before a socket is opened: nothing connected.
+        peer.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            peer.accept()
 
 
 @pytest.mark.parametrize(
@@ -480,6 +520,34 @@ class TestShaperCli:
             r["checksum"] for r in rx["runs"]
         ]
 
+    def test_recv_reps_accepts_every_transfer_on_one_socket(self, tmp_path):
+        # The second sender connects while the first transfer is open: it
+        # waits in the listening socket's queue until the first one ends.
+        port = bound_port()
+        rx_out = tmp_path / "rx.json"
+        argv = ["recv", "--port", str(port), "--host", "127.0.0.1", "--reps", "2"]
+        receiver = threading.Thread(
+            target=main_shaper, args=([*argv, "--out", str(rx_out)],), daemon=True
+        )
+        receiver.start()
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                first = open_shaped_connection(("127.0.0.1", port), timeout=5.0)
+                break
+            except TransportError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.05)
+        payloads = [b"first" * 1000, b"second" * 1000]
+        with first, open_shaped_connection(("127.0.0.1", port), timeout=5.0) as second:
+            for conn, payload in zip((first, second), payloads):
+                conn.send(payload)
+                conn.finish()
+        receiver.join(10)
+        rx = json.loads(rx_out.read_text())
+        assert [r["checksum"] for r in rx["runs"]] == [sha256(p).hexdigest() for p in payloads]
+
     def test_send_to_nowhere_fails(self, tmp_path, capsys):
         code = main_shaper(
             [
@@ -541,7 +609,7 @@ class TestShaperCli:
             raise AssertionError("a socket was opened")
 
         monkeypatch.setattr("segshield.cli.send_seeded_payload", connect)
-        monkeypatch.setattr("segshield.cli.run_receiver", connect)
+        monkeypatch.setattr("segshield.cli._receive", connect)
         assert main_shaper([*argv, "--out", str(tmp_path / "x.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}:") and "Traceback" not in err

@@ -10,6 +10,8 @@ from segshield.profiles import (
     DeviceProfile,
     device_profile,
     device_profile_names,
+    resolve_device,
+    resolve_segmentation,
     segmentation_profile,
     segmentation_profile_names,
 )
@@ -83,6 +85,31 @@ def test_device_overrides_only_mean_rate(name):
     assert (profile.name, profile.mean_rate, profile.incoming, profile.outgoing) == (
         name, 2.5, incoming, outgoing,
     )
+
+
+@pytest.mark.parametrize(
+    "resolve,override,full,message",
+    [
+        (
+            resolve_segmentation,
+            {"profile": "low-bandwidth", "prob": 1.5},
+            {"prob": 1.5, "bands": [{"min_seg": 5, "max_seg": 20}]},
+            "segmentation.prob: must be in [0, 1], got 1.5",
+        ),
+        (
+            lambda spec: resolve_device(spec, "devices[0]"),
+            {"profile": "bulb-like", "mean_rate": -1},
+            {"name": "x", "mean_rate": -1, "incoming": [[130, 1.0]]},
+            "devices[0].mean_rate: must be positive, got -1",
+        ),
+    ],
+)
+def test_override_is_checked_by_its_field_rule(resolve, override, full, message):
+    # A preset override and a full object fail alike, at the field's key path.
+    for spec in (override, full):
+        with pytest.raises(ConfigurationError) as err:
+            resolve(spec)
+        assert str(err.value) == message
 
 
 def test_unknown_names_list_the_known_ones():

@@ -352,7 +352,7 @@ class TestExperimentConfig:
                 {"segmentation": {"prob": 0.5, "bands": [{"min_seg": 5}]}},
                 "segmentation.bands[0].max_seg",
             ),
-            ({"segmentation": {"profile": "low-bandwidth", "prob": 1.5}}, "segmentation"),
+            ({"segmentation": {"profile": "low-bandwidth", "prob": 1.5}}, "segmentation.prob"),
         ],
     )
     def test_rejected_with_key_path(self, change, path):

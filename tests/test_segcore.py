@@ -273,8 +273,9 @@ class TestSegmentMessage:
         ],
     )
     def test_iter_chunks_validates_plan(self, data, lengths, reason):
+        # At the call: no chunk need be taken for a bad plan to fail.
         with pytest.raises(ValueError, match=reason):
-            next(iter_chunks(data, SegmentPlan(lengths, segmented=True)))
+            iter_chunks(data, SegmentPlan(lengths, segmented=True))
 
 
 class TestConfigValidation:

@@ -901,6 +901,12 @@ class TestPadTrace:
         with pytest.raises(ValueError):
             pad_trace(mk_trace([2000]), 1582, rng=0)
 
+    @pytest.mark.parametrize("ceiling", [1500.0, "1500"])
+    def test_ceiling_that_is_not_an_int_names_mtu_frame(self, ceiling):
+        with pytest.raises(ConfigurationError) as err:
+            pad_trace(mk_trace([130]), ceiling, 0)
+        assert str(err.value) == f"mtu_frame: expected int, got {ceiling!r}"
+
     def test_rejects_ceiling_beyond_64_bits_before_any_draw(self):
         # Eight frames padded up to 2**62 bytes may total 2**65: the int64
         # total_bytes would wrap.
