@@ -5,21 +5,22 @@ The classifier is rebuilt here rather than imported so that training is
 bit-reproducible from a single integer seed and so a depth-1 single-tree
 forest can be checked exactly against an exhaustive split search.
 
-A forest is a set of flat node arrays (feature, threshold, left, right,
-label), one entry per node and the trees back to back, as in scikit-learn's
-tree. Each tree grows from its own explicit stack, so depth is bounded by
-memory, not by the interpreter's recursion limit. The trees of a forest grow
-in lockstep: at each step every tree pops nodes up to the next one that
-needs a split, and one batched search serves all of those nodes, however
-few. It packs each (node, candidate feature, row) entry with its value rank
-and class into one integer, sorts them all at once, and scores every place
-where the rank changes inside a (node, feature) group from running class
-counts. Scores are integer squared class counts with one float division per
-side, so they are bit-identical to a per-feature loop, and the forest is the
-one a tree-by-tree loop grows (both kept in the tests as references). One
-gathered comparison with the thresholds then partitions the rows of every
-split node of the step, and one ``bincount`` gives the children's class
-counts. Prediction routes every (row, tree) pair one level at a time.
+A forest is a set of flat node arrays (feature, threshold, right, label),
+one entry per node and the trees back to back, as in scikit-learn's tree. A
+split node's left child is the node after it. Each tree grows from its own
+explicit stack, so depth is bounded by memory, not by the interpreter's
+recursion limit. The trees of a forest grow in lockstep: at each step every
+tree pops nodes up to the next one that needs a split, and one batched
+search serves all of those nodes, however few. It packs each (node,
+candidate feature, row) entry with its value rank and class into one
+integer, sorts them all at once, and scores every place where the rank
+changes inside a (node, feature) group from running class counts. Scores are
+integer squared class counts with one float division per side, so they are
+bit-identical to a per-feature loop, and the forest is the one a
+tree-by-tree loop grows (both kept in the tests as references). One gathered
+comparison with the thresholds then partitions the rows of every split node
+of the step, and one ``bincount`` gives the children's class counts.
+Prediction routes every (row, tree) pair one level at a time.
 """
 
 from __future__ import annotations
@@ -120,14 +121,13 @@ def split_dataset(
 
 @dataclass(frozen=True, eq=False)
 class ForestNodes:
-    """Every node of a forest in flat arrays, one entry per node. A split
-    node sends a row to ``left`` when ``row[feature] <= threshold``, else to
-    ``right``; a leaf has ``feature == -1`` and children -1 and votes for
-    ``label``."""
+    """Every node of a forest in flat arrays, one entry per node, each tree
+    in preorder. A split node sends a row to its left child, the next node,
+    when ``row[feature] <= threshold``, else to ``right``; a leaf has
+    ``feature == -1`` and ``right`` -1 and votes for ``label``."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     label: np.ndarray
 
@@ -150,7 +150,7 @@ class TreeNode:
 
     @property
     def left(self) -> "TreeNode | None":
-        return None if self.is_leaf else TreeNode(self.nodes, int(self.nodes.left[self.index]))
+        return None if self.is_leaf else TreeNode(self.nodes, self.index + 1)
 
     @property
     def right(self) -> "TreeNode | None":
@@ -379,7 +379,6 @@ def _grow_forest(
     return ForestNodes(
         feature=feature,
         threshold=threshold,
-        left=np.where(feature >= 0, np.arange(1, len(feature) + 1), -1),
         right=np.where(right >= 0, right + np.repeat(first, sizes), -1),
         label=label,
     ), tuple(first.tolist())
@@ -457,7 +456,6 @@ class ForestModel:
     roots: tuple[int, ...]
     labels: tuple[str, ...]
     n_features: int
-    max_depth: int | None
     seed: int
 
     @property
@@ -481,7 +479,7 @@ class ForestModel:
         while active.size:
             cur = at[active]
             goes_left = X[row[active], nodes.feature[cur]] <= nodes.threshold[cur]
-            at[active] = np.where(goes_left, nodes.left[cur], nodes.right[cur])
+            at[active] = np.where(goes_left, cur + 1, nodes.right[cur])
             active = active[nodes.feature[at[active]] >= 0]
         votes = np.bincount(row * k + nodes.label[at], minlength=n_rows * k)
         return [self.labels[i] for i in np.argmax(votes.reshape(n_rows, k), axis=1)]
@@ -515,6 +513,7 @@ def train_forest(
         raise ValueError("training set is empty")
     check_value(n_trees, "n_trees", int, POSITIVE)
     check_value(max_depth, "max_depth", int | None, POSITIVE)
+    base = make_rng(rng)
     n_features = len(train[0].values)
     if n_features == 0:
         raise ValueError("vectors have 0 features; need at least 1")
@@ -537,7 +536,6 @@ def train_forest(
     XT = np.ascontiguousarray(_as_matrix(train, n_features).T)
     y = np.array([label_index[v.label] for v in train], dtype=np.int64)
 
-    base = make_rng(rng)
     seed = base.getrandbits(63)
     n = len(train)
     rngs = [random.Random(derive_seed(seed, "tree", t)) for t in range(n_trees)]
@@ -549,7 +547,6 @@ def train_forest(
         roots=roots,
         labels=labels,
         n_features=n_features,
-        max_depth=max_depth,
         seed=seed,
     )
 

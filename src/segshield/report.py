@@ -33,6 +33,7 @@ from .tracesim import (
     synthesize_trace,
     traces_by_device,
     window_profile,
+    window_starts,
     window_us,
     write_trace,
 )
@@ -275,12 +276,14 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
         if cfg.cover_reference is not None and cfg.cover_reference not in base:
             raise ConfigurationError(f"cover.reference: {cfg.cover_reference!r} is not a device")
         for device in base:  # by name, so that no input outlives its turn below
-            try:
-                check_time_overhead(base[device], cfg.time_overhead)
-                check_header_bytes(base[device])
-                check_mtu_frame(base[device], cfg.mtu_frame)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
+            check_time_overhead(base[device], cfg.time_overhead)
+            check_header_bytes(base[device])
+            check_mtu_frame(base[device], cfg.mtu_frame)
+            windows = len(window_starts(base[device].timestamp_us, window_us(cfg.window_s)))
+            if windows < 2:  # the attack needs one to train on and one to test
+                raise ConfigurationError(
+                    f"window_s: {cfg.window_s} cuts {device!r} into {windows} window(s); need >= 2"
+                )
         # The cover reference first, so that its cover profile serves the rest.
         for device in sorted(base, key=lambda d: (d != cfg.cover_reference, d)):
             defend(base.pop(device))

@@ -101,8 +101,11 @@ def _apply_tuning(sock: socket.socket, tuning: SocketTuning) -> None:
 
 
 def _plan_rng(config: SegmentationConfig | None, rng) -> random.Random | None:
-    """A connection's planning generator; an unshaped one never draws, so it seeds none."""
-    return None if config is None else make_rng(config.seed if rng is None else rng)
+    """A connection's planning generator: from ``rng``, checked even for an
+    unshaped connection, else from the config's seed; None if neither."""
+    if rng is None and config is not None:
+        rng = config.seed
+    return None if rng is None else make_rng(rng)
 
 
 class ShapedConnection:
@@ -322,8 +325,9 @@ def run_transfer_benchmark(
     receiver_recv_buffer: int | None = None,
     receiver_pause_s: float = 0.0,
 ) -> list[TransferStats]:
-    """Send a pseudo-random payload `repetitions` times over loopback,
-    one fresh receiver thread per run, verifying the digest every time.
+    """Send a pseudo-random payload `repetitions` times over loopback to one
+    receiver thread, which accepts every run on one listening socket, and
+    verify each run's digest once it has drained them all.
 
     `receiver_recv_buffer` and `receiver_pause_s` configure the consumer
     side; a small buffer plus a nonzero pause emulates a slow peer whose
@@ -331,34 +335,25 @@ def run_transfer_benchmark(
     check_value(repetitions, "repetitions", int, POSITIVE)
     check_value(file_bytes, "file_bytes", int, POSITIVE)
     rx_buffer = receiver_recv_buffer or (tuning or SocketTuning()).receive_buffer_bytes
-    runs: list[TransferStats] = []
-    for rep in range(repetitions):
-        port = bound_port()
-        listening = threading.Event()
-        result: list[TransferStats] = []
-        receiver = threading.Thread(
-            target=lambda *args, **kwargs: result.append(run_receiver(*args, **kwargs)),
-            args=(port,),
-            kwargs={
-                "recv_buffer": rx_buffer,
-                "drain_pause_s": receiver_pause_s,
-                "listening": listening,
-            },
-            daemon=True,
-        )
-        receiver.start()
-        if not listening.wait(timeout=10):
-            raise TransportError("receiver did not come up")
-        stats = send_seeded_payload(("127.0.0.1", port), file_bytes, config, tuning, seed, rep)
-        receiver.join(timeout=30)
-        if receiver.is_alive() or not result:
-            raise TransportError("receiver did not finish")
-        got = result[0].checksum
-        if got != stats.checksum:
-            raise IntegrityError(
-                f"run {rep}: digest mismatch: got {got[:12]}.., want {stats.checksum[:12]}.."
-            )
-        runs.append(stats)
+    port = bound_port()
+    listening = threading.Event()
+    received: list[TransferStats] = []
+    args = port, "127.0.0.1", 30.0, rx_buffer, receiver_pause_s, listening, repetitions
+    receiver = threading.Thread(target=lambda: received.extend(_receive(*args)), daemon=True)
+    receiver.start()
+    if not listening.wait(timeout=10):
+        raise TransportError("receiver did not come up")
+    runs = [
+        send_seeded_payload(("127.0.0.1", port), file_bytes, config, tuning, seed, rep)
+        for rep in range(repetitions)
+    ]
+    receiver.join(timeout=30)
+    if receiver.is_alive() or not received:
+        raise TransportError("receiver did not finish")
+    for rep, (got, want) in enumerate(zip(received, runs)):
+        if got.checksum != want.checksum:
+            got, want = got.checksum[:12], want.checksum[:12]
+            raise IntegrityError(f"run {rep}: digest mismatch: got {got}.., want {want}..")
     return runs
 
 

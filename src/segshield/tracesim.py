@@ -486,12 +486,12 @@ def synthesize_trace(
 
 
 def check_time_overhead(trace: Trace, time_overhead: float) -> None:
-    """Raise ValueError naming time_overhead unless it is finite, at least 0
-    and dilates ``trace``'s last timestamp to one that fits in 64 bits."""
+    """Raise ConfigurationError naming time_overhead unless it is finite, at
+    least 0 and dilates ``trace``'s last timestamp to one within 64 bits."""
     time_overhead = check_value(time_overhead, "time_overhead", float, NON_NEGATIVE)
     # The float product obfuscate_trace rounds: below 2**63 it fits an int64.
     if trace.duration_us * (1.0 + time_overhead) >= 2**63:
-        raise ValueError(
+        raise ConfigurationError(
             f"time_overhead: {time_overhead!r} dilates {trace.device!r}'s last timestamp "
             f"{trace.duration_us} µs beyond 64 bits"
         )
@@ -545,19 +545,19 @@ def obfuscate_trace(
 
 
 def check_mtu_frame(trace: Trace, mtu_frame: int) -> int:
-    """Return ``mtu_frame`` as an int. Raise ValueError naming it unless it is
-    a positive int, no frame of ``trace`` is above it, and frames padded up to
-    it total below 2**63 bytes, within 64 bits."""
+    """Return ``mtu_frame`` as an int. Raise ConfigurationError naming it
+    unless it is a positive int, no frame of ``trace`` is above it, and frames
+    padded up to it total below 2**63 bytes, within 64 bits."""
     mtu_frame = check_value(mtu_frame, "mtu_frame", int, POSITIVE)
     if len(trace) * mtu_frame >= 2**63:
-        raise ValueError(
+        raise ConfigurationError(
             f"mtu_frame: {mtu_frame} pads {trace.device!r}'s {len(trace)} records "
             "to a byte total that may not fit in 64 bits"
         )
     above = np.abs(trace.signed_size) > mtu_frame
     if above.any():
         i = int(above.argmax())
-        raise ValueError(
+        raise ConfigurationError(
             f"mtu_frame: {mtu_frame} is below {trace.device!r}'s record {i}, "
             f"{abs(int(trace.signed_size[i]))} bytes"
         )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import brute_force_stump, random_vectors, small_traces
+from segshield import attackeval
 from segshield.attackeval import (
     FeatureVector,
     ForestNodes,
@@ -104,7 +105,8 @@ def _best_split(values, y, n_classes):
 
 
 def walk_predict(model, vectors):
-    """Majority vote of a per-row walk down each tree's node arrays."""
+    """Majority vote of a per-row walk down each tree's node arrays; a split
+    node's left child is the node after it."""
     nodes = model.nodes
     out = []
     for vec in vectors:
@@ -112,7 +114,7 @@ def walk_predict(model, vectors):
         for node in model.roots:
             while nodes.feature[node] >= 0:
                 goes_left = vec.values[nodes.feature[node]] <= nodes.threshold[node]
-                node = nodes.left[node] if goes_left else nodes.right[node]
+                node = node + 1 if goes_left else nodes.right[node]
             votes[nodes.label[node]] += 1
         out.append(model.labels[votes.index(max(votes))])
     return out
@@ -155,7 +157,6 @@ def reference_grow_tree(XT, y, rows, n_classes, max_depth, max_features, rng, fi
     return ForestNodes(
         feature=splits,
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.where(splits >= 0, first + np.arange(1, len(label) + 1), -1),
         right=np.array(right, dtype=np.int64),
         label=np.array(label, dtype=np.int64),
     )
@@ -470,6 +471,7 @@ class TestForestParameters:
             ({"max_depth": True}, "max_depth"),
             ({"max_features": True}, "max_features"),
             ({"max_features": 1.7}, "max_features"),
+            ({"rng": -1}, "rng"),
         ],
     )
     def test_rejects_parameters_that_are_not_integers(self, kwargs, name):
@@ -478,6 +480,15 @@ class TestForestParameters:
         train = labeled([((1, 0), "a"), ((2,), "b")])
         with pytest.raises(ValueError, match=name):
             train_forest(train, **{"n_trees": 3, "rng": 0, **kwargs})
+
+    @pytest.mark.parametrize("rng", [-1, "x", 1.5])
+    def test_rejects_rng_before_building_the_training_matrix(self, monkeypatch, rng):
+        calls = []
+        monkeypatch.setattr(attackeval, "_as_matrix", lambda *args: calls.append(args))
+        train = labeled([((1, 0), "a"), ((2, 0), "b")] * 3)
+        with pytest.raises((TypeError, ValueError), match="^rng"):
+            train_forest(train, 3, rng=rng)
+        assert calls == []
 
     @pytest.mark.parametrize("vector_len", [True, 2.5, 200.0])
     def test_rejects_vector_len_that_is_not_an_integer(self, vector_len):

@@ -1,15 +1,15 @@
 """The benchmark's tracer still finds every layer it measures.
 
-perfbench/tracer.py patches segshield's stage functions, the planner and
-``Trace.total_bytes`` from outside. A refactor that renames or bypasses one
-of them would make a per-layer metric read 0 without failing any run; this
-test catches that.
+perfbench/tracer.py patches segshield's stage functions, the planner (as
+``tracesim`` and as ``shaper`` call it) and ``Trace.total_bytes`` from
+outside. A refactor that renames or bypasses one of them would make a
+per-layer metric read 0 without failing any run; this test catches that.
 """
 
 import importlib.util
 from pathlib import Path
 
-from segshield import profiles, report, tracesim
+from segshield import profiles, report, shaper, tracesim
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -107,3 +107,25 @@ def test_traced_experiment_on_trace_files_counts_every_record_read(tmp_path):
 
     assert tracer.name_time["tracesim.ingest"] > 0
     assert tracer.counts["tracesim.ingest_records"] == written
+
+
+
+def test_traced_loopback_send_counts_its_plan_and_uninstalls():
+    perfbench_tracer = _load_tracer()
+    planner = shaper.segment_message
+
+    tracer = perfbench_tracer.Tracer()
+    tracer.reset(1)
+    tracer.install_shaper()
+    try:
+        config = profiles.segmentation_profile("rand-high")
+        (stats,) = shaper.run_transfer_benchmark(50_000, config, repetitions=1)
+    finally:
+        tracer.uninstall()
+
+    # One send, one plan: packets_sent is the number of chunks planned.
+    assert stats.packets_sent > 1
+    assert tracer.counts["segcore.plan_calls"] == 1
+    assert tracer.counts["segcore.chunks"] == stats.packets_sent
+    assert tracer.name_time["segcore.plan"] > 0
+    assert shaper.segment_message is planner

@@ -450,6 +450,24 @@ class TestBadInputsWriteNothing:
         assert list((out / "traces").iterdir()) == []
         assert not (out / "report.json").exists()
 
+    def test_device_that_fills_one_window(self, tmp_path):
+        # 20 s of traffic fills one 30 s window, which cannot go to both train and test.
+        config = {"seed": 1, "duration_s": 20, "devices": ["bulb-like", "plug-like"], "n_trees": 3}
+        out = tmp_path / "out"
+        match = r"^window_s: 30.0 cuts 'bulb-like' into 1 window\(s\); need >= 2$"
+        with pytest.raises(ConfigurationError, match=match):
+            run_experiment(config, out)
+        assert list((out / "traces").iterdir()) == []
+        assert not (out / "report.json").exists()
+
+    def test_trace_file_that_fills_one_window(self, tmp_path):
+        first = self._write(tmp_path, "a.jsonl", "bulb-like", 1)
+        second = self._write(tmp_path, "b.jsonl", "plug-like", 2)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match=r"^window_s: 200.0 cuts 'bulb-like' into 1 "):
+            run_experiment({"traces": [first, second], "n_trees": 3, "window_s": 200}, out)
+        assert list((out / "traces").iterdir()) == []
+
     @pytest.mark.parametrize("cover", [False, True])
     def test_frame_above_mtu_frame(self, tmp_path, cover):
         large = {**CUSTOM_DEVICE, "name": "large", "incoming": [[2000, 1.0]]}

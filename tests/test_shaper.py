@@ -4,10 +4,12 @@ import random
 import socket
 import struct
 import threading
+from dataclasses import replace
 
 import pytest
 
-from segshield.errors import ConfigurationError, TransportError
+from segshield import shaper
+from segshield.errors import ConfigurationError, IntegrityError, TransportError
 from segshield.profiles import segmentation_profile
 from segshield.segcore import LevelBand, SegmentationConfig, segment_message
 from segshield.shaper import (
@@ -271,6 +273,15 @@ class TestLoopbackTransfers:
         with pytest.raises(ConfigurationError, match="^timeout: "):
             open_shaped_connection(("127.0.0.1", 9), PASSTHROUGH, timeout=timeout)
 
+    @pytest.mark.parametrize("rng", ["x", -1, True, 1.5])
+    def test_unshaped_connection_checks_rng_before_connecting(self, rng):
+        with socket.create_server(("127.0.0.1", 0)) as peer:
+            with pytest.raises((TypeError, ConfigurationError), match="^rng"):
+                open_shaped_connection(peer.getsockname(), None, rng=rng)
+            peer.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                peer.accept()
+
     def test_negative_drain_pause_rejected(self):
         with pytest.raises(ValueError):
             run_receiver(1, drain_pause_s=-0.5)
@@ -333,6 +344,31 @@ class TestBenchmark:
             2**20, segmentation_profile("rand-high"), repetitions=2, seed=2
         )
         assert sum(r.packets_sent for r in high) > sum(r.packets_sent for r in low)
+
+    def test_one_receiver_drains_every_run(self, monkeypatch):
+        counts = []
+        receive = shaper._receive
+
+        def spy(*args):
+            counts.append(args[-1])
+            return receive(*args)
+
+        monkeypatch.setattr(shaper, "_receive", spy)
+        runs = run_transfer_benchmark(10_000, PASSTHROUGH, repetitions=3, seed=4)
+        assert counts == [3]
+        assert [r.bytes_sent for r in runs] == [10_000] * 3
+
+    def test_digest_mismatch_names_the_run(self, monkeypatch):
+        send = shaper.send_seeded_payload
+
+        def corrupt_second_run(*args):
+            stats = send(*args)
+            return replace(stats, checksum="0" * 64) if args[-1] == 1 else stats
+
+        monkeypatch.setattr(shaper, "send_seeded_payload", corrupt_second_run)
+        match = r"^run 1: digest mismatch: got [0-9a-f]{12}\.\., want 0{12}\.\.$"
+        with pytest.raises(IntegrityError, match=match):
+            run_transfer_benchmark(1000, None, repetitions=3, seed=0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
