@@ -26,6 +26,7 @@ from .tracesim import (
     check_header_bytes,
     check_mtu_frame,
     check_time_overhead,
+    dilate_timestamps,
     ingest_trace,
     inject_cover_traffic,
     obfuscate_trace,
@@ -198,7 +199,9 @@ _ARMS = ("undefended", "padded", "segmented")
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None) -> Report:
     """Run the full comparison and, when out_dir is given, write report.json,
     flat CSVs, and every intermediate trace for audit. The config is checked
-    before anything runs, and the inputs before any trace is written.
+    before anything runs, and the inputs before any trace is written. A
+    device must fill two window_s windows as read and once time_overhead
+    dilates it; cover traffic does not rescue one that fails.
 
     Devices go one at a time through their arms, the cover reference first
     and the rest by name. Of each defended trace only its window vectors and
@@ -279,11 +282,18 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
             check_time_overhead(base[device], cfg.time_overhead)
             check_header_bytes(base[device])
             check_mtu_frame(base[device], cfg.mtu_frame)
-            windows = len(window_starts(base[device].timestamp_us, window_us(cfg.window_s)))
-            if windows < 2:  # the attack needs one to train on and one to test
-                raise ConfigurationError(
-                    f"window_s: {cfg.window_s} cuts {device!r} into {windows} window(s); need >= 2"
-                )
+            # The attack needs one window to train on and one to test, in
+            # each arm; the segmented arm is counted before cover.
+            undefended = base[device].timestamp_us
+            segmented = dilate_timestamps(undefended, cfg.time_overhead)
+            dilates = f" once time_overhead {cfg.time_overhead} dilates it"
+            for timestamps, how in ((undefended, ""), (segmented, dilates)):
+                windows = len(window_starts(timestamps, window_us(cfg.window_s)))
+                if windows < 2:
+                    raise ConfigurationError(
+                        f"window_s: {cfg.window_s} cuts {device!r} into {windows} window(s)"
+                        f"{how}; need >= 2"
+                    )
         # The cover reference first, so that its cover profile serves the rest.
         for device in sorted(base, key=lambda d: (d != cfg.cover_reference, d)):
             defend(base.pop(device))

@@ -150,9 +150,10 @@ _WRITE_ROWS = 1 << 12  # rows formatted at a time, to bound the memory a write t
 # 3,000, and 2**14 sizes hold about 4 MB of texts.
 _KNOWN_SIZES = 1 << 14
 # Bytes read at a time by the columnar jsonl reader, then extended to the end
-# of a line. Parsing a block holds about three times its size, and at 1 MiB
-# that set the peak memory of an experiment over recorded traces; blocks of
-# 128 KiB to 1 MiB read a 2.9 MB trace in the same 18-21 ms (2 CPUs).
+# of a line. Parsing a block holds up to 2.7 times its size, mostly the text
+# rendered back and its encoded copy, and at 1 MiB that set the peak memory of
+# an experiment over recorded traces; blocks of 128 KiB to 1 MiB read a 2.9 MB
+# trace in the same 12-15 ms (2 CPUs).
 _READ_BYTES = 1 << 18
 
 
@@ -315,48 +316,39 @@ def _line_blocks(fh):
         yield block
 
 
-def _integers_between(text, start, stop):
-    """The int64 values of the decimal numbers text[start:stop] (an optional
-    minus, then digits), or None where a span is empty or over 20 bytes.
-    Other bytes give some number; the caller checks it by rendering it."""
-    width = stop - start
-    if not len(width) or width.min() < 1 or width.max() > 20:
-        return None
-    negative = text[start] == ord("-")
-    first = start + negative
-    # uint64 holds any 19 digits; a value beyond int64 wraps and fails the check.
-    values = np.zeros(len(start), np.uint64)
-    for back in range(int(width.max()), 0, -1):
-        at = stop - back
-        digit = text[np.maximum(at, 0)] - np.uint8(ord("0"))
-        values = np.where(at >= first, values * np.uint64(10) + digit, values)
-    values = values.view(np.int64)
-    return np.where(negative, -values, values)
+# A written jsonl line keeps its digits, its commas and line end become
+# spaces, and every other byte goes: what is left is its numbers.
+_SPACES = bytes.maketrans(b",\n", b"  ")
+_NOT_NUMBERS = bytes(sorted(set(range(256)) - set(b"0123456789,\n")))
 
 
-def _written_block_columns(block: bytes, render):
+def _written_block_columns(block: bytes, render, device: str):
     """(timestamp_us, signed_size, covered) of a block of whole lines that
     ``render`` gives back byte for byte, else None.
 
-    Each line's numbers sit after its last two colons: the size up to the
-    last comma, the timestamp up to the closing brace. The flag is at a
-    fixed offset. Whatever this finds is only kept if rendering it gives
-    the block back, and a rendered line json.loads to exactly its values.
+    Each line of ``device`` leaves the same count of numbers: any in its
+    device text, then the size's magnitude and the timestamp. The covered
+    flag and the size's sign are at fixed offsets from the line's start.
+    Whatever this finds is only kept if rendering it gives the block back,
+    and a rendered line json.loads to exactly its values.
     """
     text = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
-    colons = np.flatnonzero(text == ord(":"))
-    commas = np.flatnonzero(text == ord(","))
-    if not len(ends) or ends[-1] != len(text) - 1 or len(colons) < 2 or not len(commas):
+    # Text with no number parses as [0], and a number beyond 64 bits as the
+    # largest: the count check and the render-back catch both.
+    numbers = np.fromstring(block.translate(_SPACES, _NOT_NUMBERS), np.uint64, sep=" ")
+    if not len(ends) or len(numbers) < 2 * len(ends) or len(numbers) % len(ends):
         return None
-    last_colon = np.maximum(np.searchsorted(colons, ends) - 1, 1)
-    last_comma = np.maximum(np.searchsorted(commas, ends) - 1, 0)
-    timestamps = _integers_between(text, colons[last_colon] + 2, ends - 1)
-    sizes = _integers_between(text, colons[last_colon - 1] + 2, commas[last_comma])
-    if timestamps is None or sizes is None:
-        return None
+    step = len(numbers) // len(ends)
+    # A magnitude of 2**63 reads as -2**63, the one size it can be.
+    sizes = numbers[step - 2 :: step].astype(np.int64)
+    timestamps = numbers[step - 1 :: step].astype(np.int64)
     starts = np.concatenate([[0], ends[:-1] + 1])
-    covered = text[np.minimum(starts + len('{"covered": '), len(text) - 1)] == ord("t")
+    covered = text.take(starts + len('{"covered": '), mode="clip") == ord("t")
+    # A covered line's "true" is a byte shorter than "false".
+    sign_at = len(f'{{"covered": false, "device": {json.dumps(device)}, "signed_size": ')
+    minus = text.take(starts + sign_at - covered, mode="clip") == ord("-")
+    np.negative(sizes, out=sizes, where=minus)
     if render(timestamps, sizes, covered).encode() != block:
         return None
     return timestamps, sizes, covered
@@ -376,7 +368,7 @@ def _ingest_written_jsonl(path: str | Path, header_bytes: int) -> Trace | None:
         fh.seek(0)
         columns = ([], [], [])  # each column's blocks
         for block in _line_blocks(fh):
-            found = _written_block_columns(block, render)
+            found = _written_block_columns(block, render, device)
             if found is None:
                 return None
             for blocks, part in zip(columns, found):
@@ -508,6 +500,12 @@ def check_header_bytes(trace: Trace) -> None:
         )
 
 
+def dilate_timestamps(timestamp_us: np.ndarray, time_overhead: float) -> np.ndarray:
+    """``timestamp_us`` dilated by (1 + time_overhead), as obfuscate_trace writes them."""
+    # np.rint rounds half to even, as round() does on the same float product.
+    return np.rint(timestamp_us * (1.0 + time_overhead)).astype(np.int64)
+
+
 # Frames planned at a time: their plans are the only per-frame Python objects
 # held. Appending each frame's plan on its own was about 8 % slower.
 _PLAN_ROWS = 1 << 12
@@ -538,8 +536,7 @@ def obfuscate_trace(
     counts = np.frombuffer(count_column, np.int64)
     chunks += header
     np.negative(chunks, out=chunks, where=np.repeat(trace.signed_size < 0, counts))
-    # np.rint rounds half to even, as round() does on the same float product.
-    scaled = np.rint(trace.timestamp_us * (1.0 + time_overhead)).astype(np.int64)
+    scaled = dilate_timestamps(trace.timestamp_us, time_overhead)
     columns = np.repeat(scaled, counts), chunks, np.repeat(trace.covered, counts)
     return Trace(*map(_frozen, columns), trace.device, header)
 

@@ -506,6 +506,12 @@ class TestForestParameters:
         with pytest.raises(ValueError, match="feature"):
             train_forest(labeled([((), "a"), ((), "b")]), rng=0)
 
+    def test_rejects_more_candidate_features_than_the_vectors_hold(self):
+        train = labeled([((1, 0), "a"), ((2, 0), "b")] * 3)
+        with pytest.raises(ValueError) as err:
+            train_forest(train, n_trees=3, rng=0, max_features=3)
+        assert str(err.value) == "max_features must be <= 2 features, got 3"
+
 
 class TestFeatureVector:
     @pytest.mark.parametrize(
@@ -667,6 +673,11 @@ class TestMetrics:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             metrics_from_confusion([[0, 0], [0, 0]])
+
+    def test_rejects_labels_that_do_not_name_every_class(self):
+        with pytest.raises(ValueError) as err:
+            metrics_from_confusion([[1, 0], [0, 1]], labels=("a",))
+        assert str(err.value) == "labels length must match matrix size"
 
     @pytest.mark.parametrize("seed", range(30))
     def test_f1_identity_and_exact_accuracy(self, seed):

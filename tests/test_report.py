@@ -20,7 +20,7 @@ from segshield.report import (
     time_overhead,
     write_report,
 )
-from segshield.tracesim import synthesize_trace, write_trace
+from segshield.tracesim import Trace, synthesize_trace, write_trace
 
 TINY_PAIR = {
     "seed": 11,
@@ -466,6 +466,22 @@ class TestBadInputsWriteNothing:
         out = tmp_path / "out"
         with pytest.raises(ConfigurationError, match=r"^window_s: 200.0 cuts 'bulb-like' into 1 "):
             run_experiment({"traces": [first, second], "n_trees": 3, "window_s": 200}, out)
+        assert list((out / "traces").iterdir()) == []
+
+    def test_dilation_that_merges_a_device_into_one_window(self, tmp_path):
+        # 29.9 s and 30.0 s fill two 30 s windows; dilated by 1.2 they fall
+        # at 35.88 s and 36.0 s, in one.
+        pair = tmp_path / "pair.jsonl"
+        write_trace(Trace([29_900_000, 30_000_000], [200, -200], [False, False], "pair"), pair)
+        bulb = self._write(tmp_path, "b.jsonl", "bulb-like", 2)
+        out = tmp_path / "out"
+        config = {"traces": [str(pair), bulb], "n_trees": 3, "time_overhead": 0.2}
+        match = (
+            r"^window_s: 30.0 cuts 'pair' into 1 window\(s\) once time_overhead 0.2 dilates it; "
+            r"need >= 2$"
+        )
+        with pytest.raises(ConfigurationError, match=match):
+            run_experiment(config, out)
         assert list((out / "traces").iterdir()) == []
 
     @pytest.mark.parametrize("cover", [False, True])

@@ -328,6 +328,22 @@ class TestLoopbackTransfers:
         with pytest.raises(TransportError):
             run_receiver(bound_port(), timeout=0.3)
 
+    def test_port_in_use_is_a_transport_error_that_closes_its_socket(self, monkeypatch):
+        made = []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        with socket.create_server(("127.0.0.1", 0)) as other:
+            port = other.getsockname()[1]
+            monkeypatch.setattr(socket, "socket", Recorded)
+            with pytest.raises(TransportError) as err:
+                run_receiver(port, timeout=1)
+        assert str(err.value) == f"cannot bind 127.0.0.1:{port}: [Errno 98] Address already in use"
+        assert len(made) == 1 and made[0].fileno() == -1
+
 
 class TestBenchmark:
     def test_single_undefended_run(self):

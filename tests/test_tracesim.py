@@ -400,6 +400,14 @@ class TestTraceIO:
         write_trace(mk_trace([10, 20, -30]), path)
         assert len(ingest_trace(path)) == 3
 
+    def test_bad_covered_flag_names_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        row = {"timestamp_us": 0, "signed_size": 60, "covered": "yes", "device": "d"}
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(TraceFormatError) as err:
+            ingest_trace(path)
+        assert str(err.value) == "line 1: bad covered flag 'yes'"
+
     def test_zero_size_names_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         rows = [
@@ -551,6 +559,21 @@ class TestTraceIO:
         # a 256 KiB block; 1 MiB blocks held over 6 MB here.
         assert peak <= 2 * column_bytes(read) + (1 << 20)
 
+    def test_parsing_a_block_holds_under_three_times_it(self, tmp_path):
+        trace = recorded_like_trace(30_000)
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, path)
+        render = tracesim._row_format(trace.device, "jsonl")[2]
+        with open(path, "rb") as fh:
+            blocks = list(tracesim._line_blocks(fh))
+        assert len(blocks) > 1
+        for block in blocks:
+            found, peak = traced_peak(tracesim._written_block_columns, block, render, trace.device)
+            assert found is not None  # read as columns, not handed to the per-line reader
+            # The rendered text and its encoded copy, about 2.7 times the
+            # block; the digit-by-digit parse held 3.32 times it.
+            assert peak < 3 * len(block)
+
     def test_line_by_line_read_holds_typed_columns(self, tmp_path):
         trace = recorded_like_trace(30_000)
         path = tmp_path / "t.csv"
@@ -637,7 +660,11 @@ class TestTraceIO:
         with mock.patch.object(tracesim, "_READ_BYTES", block):
             assert read_outcome(ingest_trace, path) == read_outcome(read_line_by_line, path)
 
-    @pytest.mark.parametrize("device", ["dev", 'say "%d%%" or "%s"', "é ü ☃ 设备"])
+    # A minus sign or digits in the device text: the parser drops the one
+    # and reads the other as numbers on every line.
+    @pytest.mark.parametrize(
+        "device", ["dev", 'say "%d%%" or "%s"', "é ü ☃ 设备", "plug-like", "cam-2", "a1b2"]
+    )
     @pytest.mark.parametrize("rows", [1, 4096, 10_000])
     @pytest.mark.parametrize("shift", [None, -1, 0, 1])
     def test_written_files_are_read_as_columns(self, tmp_path, monkeypatch, device, rows, shift):
@@ -728,6 +755,11 @@ class TestDeviceProfile:
         with pytest.raises(ConfigurationError) as err:
             DeviceProfile(name="x", mean_rate=1.0, incoming=((100, 1.0),), mode_schedule=(entry,))
         assert str(err.value) == message
+
+    def test_rejects_frame_length_below_one(self):
+        with pytest.raises(ConfigurationError) as err:
+            DeviceProfile("x", 1.0, ((0, 1.0),))
+        assert str(err.value) == "frame lengths must be >= 1"
 
     def test_schedule_scales_rate(self):
         profile = DeviceProfile(
@@ -1056,6 +1088,12 @@ class TestCoverTraffic:
         trace = mk_trace([130])
         with pytest.raises(ValueError, match="window_s"):
             inject_cover_traffic(trace, trace, window_s=1e-7, rng=0)
+
+    def test_empty_target_rejected(self):
+        empty = Trace([], [], [], "dev")
+        with pytest.raises(ConfigurationError) as err:
+            inject_cover_traffic(empty, mk_trace([130]), window_s=30, rng=0)
+        assert str(err.value) == "target trace is empty; no size distribution for cover"
 
     @given(
         target=small_traces(min_size=1),
